@@ -18,11 +18,13 @@ vet:
 # written from many goroutines), the budget-bounded evaluation runner, the
 # worker pool, the parallel matrix engine, candidate tuning, and the
 # parallel MiniROCKET fit. The bench package is filtered to its parallel
-# tests — the full matrix under -race takes minutes.
+# tests — the full matrix under -race takes minutes — and runs them at
+# GOMAXPROCS 1 and 2, so the workers-vs-serial equality is also checked
+# with goroutines running truly in parallel, not only interleaved.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/sched/... \
 		./internal/tune/... ./internal/minirocket/...
-	$(GO) test -race -run 'Parallel|Deterministic' ./internal/bench/...
+	$(GO) test -race -cpu 1,2 -run 'Parallel|Deterministic' ./internal/bench/...
 
 # Chaos suite under the race detector: the deterministic fault-injection
 # harness (internal/faults) plants panics, errors and latency spikes by

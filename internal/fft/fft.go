@@ -10,15 +10,22 @@ import "math"
 // (real, imaginary) pairs for the first len(x)/2+1 non-redundant bins:
 // out[2k] = Re X_k, out[2k+1] = Im X_k. It dispatches to the radix-2 FFT
 // for power-of-two lengths and to a direct O(n²) DFT otherwise.
-func Transform(x []float64) []float64 {
+func Transform(x []float64) []float64 { return TransformBins(x, len(x)/2+1) }
+
+// TransformBins returns the first min(bins, len(x)/2+1) bins of
+// Transform(x), bit for bit. The direct DFT computes each bin on its own,
+// so asking for the few bins SFA keeps skips the cost of all the others;
+// power-of-two lengths still run the full FFT.
+func TransformBins(x []float64, bins int) []float64 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
+	bins = max(min(bins, n/2+1), 0)
 	if n&(n-1) == 0 && n >= 2 {
-		return realFFT(x)
+		return realFFT(x, bins)
 	}
-	return directDFT(x)
+	return directDFT(x, bins)
 }
 
 // Coefficients returns the first nCoeffs real/imaginary Fourier values of x
@@ -27,31 +34,29 @@ func Transform(x []float64) []float64 {
 // where the mean carries no class information. The output is truncated if
 // the signal is too short to provide nCoeffs values.
 func Coefficients(x []float64, nCoeffs int, dropFirst bool) []float64 {
-	full := Transform(x)
 	start := 0
 	if dropFirst {
-		start = 2
+		start = 1
 	}
-	if start >= len(full) {
+	out := TransformBins(x, start+nCoeffs)
+	if 2*start >= len(out) {
 		return nil
 	}
-	out := full[start:]
-	if len(out) > 2*nCoeffs {
-		out = out[:2*nCoeffs]
-	}
-	return append([]float64(nil), out...)
+	return out[2*start:]
 }
 
-func directDFT(x []float64) []float64 {
+// directDFT computes the first bins bins of the DFT of x term by term.
+// math.Sincos returns the same bits as math.Sin and math.Cos apart.
+func directDFT(x []float64, bins int) []float64 {
 	n := len(x)
-	bins := n/2 + 1
 	out := make([]float64, 2*bins)
 	for k := 0; k < bins; k++ {
 		var re, im float64
 		for t := 0; t < n; t++ {
 			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			re += x[t] * math.Cos(angle)
-			im += x[t] * math.Sin(angle)
+			sin, cos := math.Sincos(angle)
+			re += x[t] * cos
+			im += x[t] * sin
 		}
 		out[2*k] = re
 		out[2*k+1] = im
@@ -59,12 +64,12 @@ func directDFT(x []float64) []float64 {
 	return out
 }
 
-func realFFT(x []float64) []float64 {
+// realFFT runs the full radix-2 FFT and keeps the first bins bins.
+func realFFT(x []float64, bins int) []float64 {
 	n := len(x)
 	re := append([]float64(nil), x...)
 	im := make([]float64, n)
 	fftInPlace(re, im)
-	bins := n/2 + 1
 	out := make([]float64, 2*bins)
 	for k := 0; k < bins; k++ {
 		out[2*k] = re[k]

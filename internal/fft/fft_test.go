@@ -47,8 +47,8 @@ func TestFFTMatchesDirectDFT(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		fast := realFFT(x)
-		slow := directDFT(x)
+		fast := realFFT(x, n/2+1)
+		slow := directDFT(x, n/2+1)
 		if len(fast) != len(slow) {
 			t.Fatalf("n=%d: lengths differ %d vs %d", n, len(fast), len(slow))
 		}
@@ -133,5 +133,79 @@ func TestParsevalEnergyConservation(t *testing.T) {
 	freqEnergy /= float64(n)
 	if math.Abs(timeEnergy-freqEnergy) > 1e-7 {
 		t.Fatalf("Parseval violated: time %v vs freq %v", timeEnergy, freqEnergy)
+	}
+}
+
+// refDirectDFT is the all-bins direct DFT with separate math.Sin and
+// math.Cos calls, the reference the bins-limited transform must match.
+func refDirectDFT(x []float64) []float64 {
+	n := len(x)
+	bins := n/2 + 1
+	out := make([]float64, 2*bins)
+	for k := 0; k < bins; k++ {
+		var re, im float64
+		for t := 0; t < n; t++ {
+			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			re += x[t] * math.Cos(angle)
+			im += x[t] * math.Sin(angle)
+		}
+		out[2*k] = re
+		out[2*k+1] = im
+	}
+	return out
+}
+
+func TestTransformBinsMatchesFullTransformBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 1; n <= 130; n++ {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64() * 3
+		}
+		full := Transform(x)
+		if n&(n-1) != 0 {
+			ref := refDirectDFT(x)
+			for i := range ref {
+				if math.Float64bits(full[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("n=%d value %d: Transform %v, reference %v", n, i, full[i], ref[i])
+				}
+			}
+		}
+		for bins := 0; bins <= n/2+2; bins++ {
+			got := TransformBins(x, bins)
+			want := full[:2*min(bins, n/2+1)]
+			if len(got) != len(want) {
+				t.Fatalf("n=%d bins=%d: %d values, want %d", n, bins, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d bins=%d value %d: %v, want %v", n, bins, i, got[i], want[i])
+				}
+			}
+		}
+		for _, drop := range []bool{false, true} {
+			for nCoeffs := 0; nCoeffs <= n/2+2; nCoeffs++ {
+				got := Coefficients(x, nCoeffs, drop)
+				start := 0
+				if drop {
+					start = 2
+				}
+				var want []float64
+				if start < len(full) {
+					want = full[start:]
+					if len(want) > 2*nCoeffs {
+						want = want[:2*nCoeffs]
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("n=%d Coefficients(%d, %v): %d values, want %d", n, nCoeffs, drop, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d Coefficients(%d, %v) value %d: %v, want %v", n, nCoeffs, drop, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -106,6 +106,11 @@ func (m *Model) Fit(X [][]float64, y []int, numClasses int) error {
 	gradB := make([]float64, numClasses)
 	probs := make([]float64, numClasses)
 	logits := make([]float64, numClasses)
+	// WEASEL rows are mostly zeros. A zero column adds nothing to a logit
+	// (logits skips it too) nor, for finite g, to a gradient sum: g·0 is
+	// ±0, and a sum that starts at +0 never becomes −0. So both loops
+	// visit only each row's nonzero columns, listed once per Fit.
+	nonzero := nonzeroColumns(X)
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -122,8 +127,8 @@ func (m *Model) Fit(X [][]float64, y []int, numClasses int) error {
 				gradB[c] = 0
 			}
 			for _, idx := range order[start:end] {
-				x := X[idx]
-				m.logits(x, logits)
+				x, cols := X[idx], nonzero[idx]
+				m.sparseLogits(x, cols, logits)
 				stats.Softmax(logits, probs)
 				for c := 0; c < numClasses; c++ {
 					g := probs[c]
@@ -134,8 +139,15 @@ func (m *Model) Fit(X [][]float64, y []int, numClasses int) error {
 						continue
 					}
 					gw := gradW[c]
-					for j, xv := range x {
-						gw[j] += g * xv
+					if math.IsNaN(g) {
+						// NaN·0 is NaN: every column takes the term.
+						for j, xv := range x {
+							gw[j] += g * xv
+						}
+					} else {
+						for _, j := range cols {
+							gw[j] += g * x[j]
+						}
 					}
 					gradB[c] += g
 				}
@@ -169,6 +181,44 @@ func (m *Model) logits(x []float64, out []float64) {
 			if xv != 0 {
 				sum += w[j] * xv
 			}
+		}
+		out[c] = sum
+	}
+}
+
+// nonzeroColumns lists, per row, the columns holding a value other than
+// ±0 (NaN included), in ascending order. The lists share one backing
+// array.
+func nonzeroColumns(X [][]float64) [][]int {
+	total := 0
+	for _, x := range X {
+		for _, xv := range x {
+			if xv != 0 {
+				total++
+			}
+		}
+	}
+	flat := make([]int, 0, total)
+	out := make([][]int, len(X))
+	for i, x := range X {
+		start := len(flat)
+		for j, xv := range x {
+			if xv != 0 {
+				flat = append(flat, j)
+			}
+		}
+		out[i] = flat[start:]
+	}
+	return out
+}
+
+// sparseLogits is logits over the nonzero columns cols of x.
+func (m *Model) sparseLogits(x []float64, cols []int, out []float64) {
+	for c := 0; c < m.numClasses; c++ {
+		w := m.weights[c]
+		sum := m.bias[c]
+		for _, j := range cols {
+			sum += w[j] * x[j]
 		}
 		out[c] = sum
 	}

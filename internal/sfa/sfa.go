@@ -8,6 +8,7 @@ package sfa
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/goetsc/goetsc/internal/fft"
@@ -89,7 +90,17 @@ func fitBoundariesAt(coeffs [][]float64, labels []int, numClasses, alphabet, pos
 		}
 		vls[i] = valueLabel{v: v, label: labels[i]}
 	}
-	sort.Slice(vls, func(a, b int) bool { return vls[a].v < vls[b].v })
+	// A split only falls between distinct values and quantileBoundaries
+	// reads values alone, so how ties end up ordered cannot matter.
+	slices.SortFunc(vls, func(a, b valueLabel) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case b.v < a.v:
+			return 1
+		}
+		return 0
+	})
 	values := make([]float64, len(vls))
 	lbls := make([]int, len(vls))
 	for i, vl := range vls {
@@ -151,7 +162,9 @@ func quantileBoundaries(sortedValues []float64, bins int) []float64 {
 
 // bestIGSplit returns the index s in (lo, hi) maximizing information gain
 // of splitting sortedValues[lo:hi] into [lo:s) and [s:hi), or -1 when no
-// valid informative split exists.
+// valid informative split exists. The gain is stats.InformationGain
+// spelled out with the parent entropy, which no split changes, computed
+// once.
 func bestIGSplit(sortedValues []float64, labels []int, numClasses, lo, hi int) int {
 	parent := make([]int, numClasses)
 	for i := lo; i < hi; i++ {
@@ -159,6 +172,8 @@ func bestIGSplit(sortedValues []float64, labels []int, numClasses, lo, hi int) i
 	}
 	left := make([]int, numClasses)
 	right := append([]int(nil), parent...)
+	h := stats.Entropy(parent)
+	n := float64(hi - lo)
 	best, bestGain := -1, 1e-9
 	for s := lo + 1; s < hi; s++ {
 		left[labels[s-1]]++
@@ -166,7 +181,8 @@ func bestIGSplit(sortedValues []float64, labels []int, numClasses, lo, hi int) i
 		if sortedValues[s] == sortedValues[s-1] {
 			continue // cannot split between equal values
 		}
-		if g := stats.InformationGain(parent, left, right); g > bestGain {
+		nL, nR := float64(s-lo), float64(hi-s)
+		if g := h - (nL*stats.Entropy(left)+nR*stats.Entropy(right))/n; g > bestGain {
 			best, bestGain = s, g
 		}
 	}

@@ -85,7 +85,7 @@ func (cs *CoeffStream) Extend(series []float64) {
 	for cs.pos+cs.w <= len(series) {
 		s := cs.pos
 		if s%resyncInterval == 0 {
-			full := fft.Transform(series[s : s+cs.w])
+			full := fft.TransformBins(series[s:s+cs.w], cs.bins)
 			for k := 0; k < cs.bins; k++ {
 				cs.re[k] = full[2*k]
 				cs.im[k] = full[2*k+1]
