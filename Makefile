@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet race chaos chaos-serve chaos-ingest chaos-fleet serve-smoke test bench bench-serve bench-classify bench-fleet pgo figures data tune clean
+.PHONY: all build vet race chaos chaos-serve chaos-ingest chaos-fleet serve-smoke fuzz test bench bench-serve bench-classify bench-fleet pgo figures data tune clean
 
 NPROC := $(shell nproc 2>/dev/null || echo 1)
 
@@ -11,8 +11,11 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt:"; echo "$$unformatted"; exit 1; fi
 
 # Race-check the concurrent paths: the obs collector (journal/metrics are
 # written from many goroutines), the budget-bounded evaluation runner, the
@@ -53,8 +56,10 @@ chaos-serve:
 # failed retrain leaving the old model serving, seeded event faults
 # (drops/duplicates/late arrivals) absorbed with exact counters, and
 # session + entity TTL eviction driven from one injected fake clock.
+# The ingest suite runs at GOMAXPROCS 1 and 2, so its shard goroutines
+# also run truly in parallel, not only interleaved.
 chaos-ingest:
-	$(GO) test -race ./internal/ingest/...
+	$(GO) test -race -cpu 1,2 ./internal/ingest/...
 	$(GO) test -race -run 'Event' ./internal/faults/...
 	$(GO) test -race -run 'SharedClock|Eviction' ./internal/serve/...
 
@@ -65,9 +70,10 @@ chaos-ingest:
 # leave, reload/rollback fanned out mid-stream, the shared fake clock
 # aging replica sessions and router pins together, the seeded
 # replica-death/latency hook, and the churn workload's mixed
-# create/advance/abandon/evict phases.
+# create/advance/abandon/evict phases. The fleet suite runs at
+# GOMAXPROCS 1 and 2, like the ingest suite.
 chaos-fleet:
-	$(GO) test -race ./internal/fleet/...
+	$(GO) test -race -cpu 1,2 ./internal/fleet/...
 	$(GO) test -race -run 'FleetHook' ./internal/faults/...
 	$(GO) test -race -run 'Churn' ./internal/loadgen/...
 
@@ -81,7 +87,30 @@ serve-smoke:
 	$(GO) test -race -run 'ServeSmoke|Trace|Stats|Metrics|Dashboard|Eviction|MetaRoutes' ./internal/serve/...
 	$(GO) test -race -run 'Run|Correlate' ./internal/loadgen/...
 
-test: vet race chaos chaos-serve chaos-ingest chaos-fleet serve-smoke
+# Differential fuzzing at the JSON trust boundary: each hand-scanned
+# request decoder (package wire's canonical subset) runs against the
+# encoding/json decode it falls back to — whatever the fast path accepts
+# must decode to the same bits, and whatever it declines must reach the
+# fallback untouched. Plain `go test` replays the committed corpora
+# under testdata/fuzz; this target mutates beyond them for FUZZTIME
+# per target. go test -fuzz takes one target and one package per run.
+FUZZTIME ?= 4s
+FUZZ_TARGETS := \
+	./internal/wire:FuzzScanner \
+	./internal/serve:FuzzDecodeClassify \
+	./internal/serve:FuzzDecodePoints \
+	./internal/serve:FuzzDecodeSessionCreate \
+	./internal/fleet:FuzzDecodeFleetCreate \
+	./internal/fleet:FuzzDecidedResponse \
+	./internal/ingest:FuzzDecodeEvent
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz $$pkg $$fn ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $$pkg; \
+	done
+
+test: vet race chaos chaos-serve chaos-ingest chaos-fleet serve-smoke fuzz
 	$(GO) test ./...
 	@if [ -f BENCH_PR7.json ]; then \
 		echo "kernel regression gate: short deterministic run vs committed BENCH_PR7.json"; \

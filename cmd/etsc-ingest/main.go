@@ -188,7 +188,7 @@ func replayNDJSON(p *ingest.Pipeline, path string) error {
 			continue
 		}
 		var ev ingest.Event
-		if err := json.Unmarshal(line, &ev); err != nil || ev.Entity == "" {
+		if err := ingest.DecodeEvent(line, &ev); err != nil {
 			continue
 		}
 		if err := p.Submit(ev); err != nil {

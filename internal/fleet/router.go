@@ -15,6 +15,7 @@ import (
 	"github.com/goetsc/goetsc/internal/evict"
 	"github.com/goetsc/goetsc/internal/obs"
 	"github.com/goetsc/goetsc/internal/serve"
+	"github.com/goetsc/goetsc/internal/wire"
 )
 
 // Config controls one router. The zero value routes with sensible
@@ -655,6 +656,35 @@ type fleetCreateRequest struct {
 	SessionID string `json:"session_id,omitempty"`
 }
 
+// decodeWire scans a create body in package wire's canonical subset,
+// reporting false — with req untouched — for anything else, which then
+// takes the encoding/json decode.
+func (req *fleetCreateRequest) decodeWire(body []byte) bool {
+	var s wire.Scanner
+	s.Reset(body)
+	var model, id []byte
+	for s.Next() {
+		switch string(s.Key()) {
+		case "model":
+			model = s.String()
+		case "session_id":
+			id = s.String()
+		default:
+			return false
+		}
+	}
+	if !s.Done() {
+		return false
+	}
+	if model != nil {
+		req.Model = string(model)
+	}
+	if id != nil {
+		req.SessionID = string(id)
+	}
+	return true
+}
+
 // handleSessionCreate places a new session: the router mints the ID
 // first (unless the client named one), so the rendezvous hash of the ID
 // decides the owner before any replica is touched.
@@ -664,10 +694,12 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request, fi
 		return err
 	}
 	var req fleetCreateRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return routeErrf(http.StatusBadRequest, "bad_request", "invalid JSON body: %v", err)
+	if !req.decodeWire(body) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			return routeErrf(http.StatusBadRequest, "bad_request", "invalid JSON body: %v", err)
+		}
 	}
 	id := req.SessionID
 	if id == "" {
@@ -812,7 +844,12 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request, fi *fleet
 }
 
 // decidedResponse reports whether a session-state body says "decided".
+// A replica's rendered state body is scanned by hand; anything outside
+// package wire's subset takes json.Unmarshal.
 func decidedResponse(body []byte) bool {
+	if decided, ok := scanDecided(body); ok {
+		return decided
+	}
 	var st struct {
 		Status string `json:"status"`
 	}
@@ -820,4 +857,27 @@ func decidedResponse(body []byte) bool {
 		return false
 	}
 	return st.Status == "decided"
+}
+
+// scanDecided is decidedResponse's fast path. Like json.Unmarshal into a
+// one-field struct it ignores every other key, so it declines only keys
+// that would case-fold onto "status" and values outside the subset.
+func scanDecided(body []byte) (decided, ok bool) {
+	var s wire.Scanner
+	s.Reset(body)
+	var status []byte
+	for s.Next() {
+		switch k := s.Key(); {
+		case string(k) == "status":
+			status = s.String()
+		case bytes.EqualFold(k, []byte("status")):
+			return false, false
+		default:
+			s.Skip()
+		}
+	}
+	if !s.Done() {
+		return false, false
+	}
+	return string(status) == "decided", true
 }

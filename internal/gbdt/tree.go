@@ -3,7 +3,7 @@
 // per-time-point base classifiers of ECONOMY-K.
 package gbdt
 
-import "sort"
+import "slices"
 
 // node is one node of a regression tree, stored in a flat slice.
 type node struct {
@@ -79,17 +79,19 @@ func bestSplit(X [][]float64, g, h []float64, samples []int, sumG, sumH float64,
 	feature = -1
 	nFeatures := len(X[samples[0]])
 	parentScore := sumG * sumG / (sumH + p.lambda)
-	order := make([]int, len(samples))
+	order := make([]valueSample, len(samples))
 	for f := 0; f < nFeatures; f++ {
-		copy(order, samples)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
+		for k, i := range samples {
+			order[k] = valueSample{v: X[i][f], i: i}
+		}
+		sortByValue(order)
 		var gL, hL float64
 		for k := 0; k < len(order)-1; k++ {
-			i := order[k]
+			i := order[k].i
 			gL += g[i]
 			hL += h[i]
 			// Only split between distinct feature values.
-			if X[order[k]][f] == X[order[k+1]][f] {
+			if order[k].v == order[k+1].v {
 				continue
 			}
 			hR := sumH - hL
@@ -101,11 +103,36 @@ func bestSplit(X [][]float64, g, h []float64, samples []int, sumG, sumH float64,
 			if score/2 > gain {
 				gain = score / 2
 				feature = f
-				threshold = (X[order[k]][f] + X[order[k+1]][f]) / 2
+				threshold = (order[k].v + order[k+1].v) / 2
 			}
 		}
 	}
 	return feature, threshold, gain
+}
+
+// valueSample is one sample's value of the feature being scanned.
+type valueSample struct {
+	v float64
+	i int
+}
+
+// sortByValue orders samples by feature value. The gradient sums in
+// bestSplit add samples in this order, so tie order feeds their bits:
+// it must be the permutation sort.Slice with the same < produced. It
+// is — sort.Slice and slices.SortFunc run the same generated pdqsort,
+// and the comparator is negative exactly when a.v < b.v, so every
+// comparison and swap matches — without reflection or an indirect
+// X[i][f] load per comparison.
+func sortByValue(order []valueSample) {
+	slices.SortFunc(order, func(a, b valueSample) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case b.v < a.v:
+			return 1
+		}
+		return 0
+	})
 }
 
 // predict evaluates the tree for one sample.

@@ -3,9 +3,12 @@ package ingest
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"sync"
 	"time"
+
+	"github.com/goetsc/goetsc/internal/wire"
 )
 
 // Summary is the trailing NDJSON line of one ingest request: the
@@ -80,7 +83,7 @@ func Handler(build func(r *http.Request, onDecision func(Decision)) (*Pipeline, 
 				continue
 			}
 			var ev Event
-			if err := json.Unmarshal(line, &ev); err != nil || ev.Entity == "" {
+			if err := DecodeEvent(line, &ev); err != nil {
 				// A damaged line poisons only itself; the stream goes on.
 				parseErrors++
 				continue
@@ -99,6 +102,57 @@ func Handler(build func(r *http.Request, onDecision func(Decision)) (*Pipeline, 
 		}
 		writeLine(sum)
 	})
+}
+
+// errNoEntity rejects an event line that parses but names no entity.
+var errNoEntity = errors.New("ingest: event has no entity")
+
+// DecodeEvent parses one NDJSON event line into *ev, replacing its
+// contents. A line in package wire's canonical subset is scanned by
+// hand; any other line takes json.Unmarshal, so both decode to the same
+// Event. A line that does not parse, or names no entity, is an error.
+func DecodeEvent(line []byte, ev *Event) error {
+	*ev = Event{}
+	if !scanEvent(line, ev) {
+		if err := json.Unmarshal(line, ev); err != nil {
+			return err
+		}
+	}
+	if ev.Entity == "" {
+		return errNoEntity
+	}
+	return nil
+}
+
+// scanEvent is DecodeEvent's fast path; it leaves *ev untouched unless
+// the whole line is inside the subset.
+func scanEvent(line []byte, ev *Event) bool {
+	var s wire.Scanner
+	s.Reset(line)
+	var e Event
+	var entity []byte
+	for s.Next() {
+		switch string(s.Key()) {
+		case "entity":
+			entity = s.String()
+		case "t":
+			e.T = s.Int()
+		case "values":
+			e.Values = s.Floats(nil)
+		case "label":
+			e.Label = s.Int()
+		case "labeled":
+			e.Labeled = s.Bool()
+		default:
+			return false
+		}
+	}
+	if !s.Done() {
+		return false
+	}
+	e.Entity = string(entity)
+	*ev = e
+	return true
 }
 
 // strconvQuote is a tiny JSON string quoter for the one pre-stream

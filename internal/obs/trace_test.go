@@ -27,10 +27,10 @@ func TestParseTraceHeaderRejectsMalformed(t *testing.T) {
 	cases := []string{
 		"",
 		"abc",
-		valid[:48],                  // truncated
-		valid + "0",                 // too long
+		valid[:48],  // truncated
+		valid + "0", // too long
 		valid[:32] + "_" + valid[33:],
-		"zz" + valid[2:],            // bad hex in trace
+		"zz" + valid[2:], // bad hex in trace
 		valid[:33] + "zzzzzzzzzzzzzzzz",
 		"00000000000000000000000000000000-" + valid[33:], // zero trace
 		valid[:33] + "0000000000000000",                  // zero span
