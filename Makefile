@@ -23,11 +23,15 @@ vet:
 # parallel MiniROCKET fit. The bench package is filtered to its parallel
 # tests — the full matrix under -race takes minutes — and runs them at
 # GOMAXPROCS 1 and 2, so the workers-vs-serial equality is also checked
-# with goroutines running truly in parallel, not only interleaved.
+# with goroutines running truly in parallel, not only interleaved. The
+# neural layers and MLSTM-FCN also run at GOMAXPROCS 1 and 2: training
+# reuses per-layer buffers, and concurrent PredictProba on one trained
+# model must touch none of them.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/sched/... \
 		./internal/tune/... ./internal/minirocket/...
 	$(GO) test -race -cpu 1,2 -run 'Parallel|Deterministic' ./internal/bench/...
+	$(GO) test -race -cpu 1,2 ./internal/neural/... ./internal/mlstm/...
 
 # Chaos suite under the race detector: the deterministic fault-injection
 # harness (internal/faults) plants panics, errors and latency spikes by

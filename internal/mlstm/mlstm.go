@@ -83,6 +83,10 @@ type Model struct {
 	head                *neural.Dense
 	loss                *neural.SoftmaxCrossEntropy
 	opt                 *neural.Adam
+
+	// Training-path buffers, reused across samples like the layers' own.
+	shuffled [][]float64
+	concat   []float64
 }
 
 // New returns an untrained model.
@@ -185,11 +189,12 @@ func (m *Model) params() []*neural.Param {
 }
 
 // forwardBackward runs one training sample through the network and
-// accumulates gradients.
+// accumulates gradients. Every layer reuses its own buffers on this path,
+// so a step allocates nothing once they fit the longest sample.
 func (m *Model) forwardBackward(instance [][]float64, label int) {
-	fcnOut, lstmOut, shuffled := m.forward(instance, true)
-	concat := append(append([]float64(nil), fcnOut...), lstmOut...)
-	logits := m.head.ForwardVec(concat, true)
+	fcnOut, lstmOut := m.forward(instance, true)
+	m.concat = append(append(m.concat[:0], fcnOut...), lstmOut...)
+	logits := m.head.ForwardVec(m.concat, true)
 	m.loss.Forward(logits, label)
 	dLogits := m.loss.Backward()
 	dConcat := m.head.BackwardVec(dLogits)
@@ -204,7 +209,6 @@ func (m *Model) forwardBackward(instance [][]float64, label int) {
 	} else {
 		m.lstm.BackwardSeq(dDrop)
 	}
-	_ = shuffled
 
 	// FCN branch backward.
 	g := m.gap.Backward(dFCN)
@@ -221,9 +225,10 @@ func (m *Model) forwardBackward(instance [][]float64, label int) {
 	m.conv1.Backward(g)
 }
 
-// forward computes both branch outputs. The returned shuffled sequence is
-// only needed for training-time bookkeeping.
-func (m *Model) forward(instance [][]float64, train bool) (fcn, lstmOut []float64, shuffled [][]float64) {
+// forward computes both branch outputs. With train set they live in
+// buffers the layers reuse on the next training sample; otherwise they
+// are freshly allocated, so concurrent inference calls share no memory.
+func (m *Model) forward(instance [][]float64, train bool) (fcn, lstmOut []float64) {
 	x := m.conv1.Forward(instance, train)
 	x = m.norm1.Forward(x, train)
 	x = m.relu1.Forward(x, train)
@@ -239,14 +244,22 @@ func (m *Model) forward(instance [][]float64, train bool) (fcn, lstmOut []float6
 
 	// Dimension shuffle: the LSTM sees numVars steps, each a vector of the
 	// series values over time (zero-padded to the training length).
-	shuffled = make([][]float64, m.numVars)
-	for v := 0; v < m.numVars && v < len(instance); v++ {
-		step := make([]float64, m.trainLen)
-		copy(step, instance[v])
-		shuffled[v] = step
+	shuffled := m.shuffled
+	if !train || len(shuffled) != m.numVars || len(shuffled[0]) != m.trainLen {
+		shuffled = make([][]float64, m.numVars)
+		for v := range shuffled {
+			shuffled[v] = make([]float64, m.trainLen)
+		}
+		if train {
+			m.shuffled = shuffled
+		}
 	}
-	for v := len(instance); v < m.numVars; v++ {
-		shuffled[v] = make([]float64, m.trainLen)
+	for v, step := range shuffled {
+		n := 0
+		if v < len(instance) {
+			n = copy(step, instance[v])
+		}
+		clear(step[n:])
 	}
 	var h []float64
 	if m.attn != nil {
@@ -256,12 +269,13 @@ func (m *Model) forward(instance [][]float64, train bool) (fcn, lstmOut []float6
 		h = m.lstm.ForwardSeq(shuffled, train)
 	}
 	lstmOut = m.drop.ForwardVec(h, train)
-	return fcn, lstmOut, shuffled
+	return fcn, lstmOut
 }
 
-// PredictProba returns class probabilities for one instance.
+// PredictProba returns class probabilities for one instance. It is safe
+// for concurrent use on a trained model.
 func (m *Model) PredictProba(instance [][]float64) []float64 {
-	fcnOut, lstmOut, _ := m.forward(instance, false)
+	fcnOut, lstmOut := m.forward(instance, false)
 	concat := append(append([]float64(nil), fcnOut...), lstmOut...)
 	logits := m.head.ForwardVec(concat, false)
 	return stats.Softmax(logits, nil)

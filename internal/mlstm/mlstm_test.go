@@ -3,6 +3,7 @@ package mlstm
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -174,5 +175,49 @@ func TestAttentionVariantDiffersFromPlain(t *testing.T) {
 	p2 := attn.PredictProba(train[0])
 	if p1[0] == p2[0] {
 		t.Fatal("attention variant produced identical outputs to the plain LSTM")
+	}
+}
+
+// TestPredictProbaConcurrent runs PredictProba on one trained model from
+// 8 goroutines and requires the bits of a serial run: inference must not
+// share the buffers training reuses, nor any other mutable layer state.
+func TestPredictProbaConcurrent(t *testing.T) {
+	for _, attention := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(12))
+		train, trainY := sineInstances(rng, 6, 24)
+		m := New(Config{Filters: [3]int{4, 8, 4}, Cells: 4, Epochs: 2, Attention: attention, Seed: 12})
+		if err := m.Fit(train, trainY, 2); err != nil {
+			t.Fatal(err)
+		}
+		// Full series and prefixes, so the goroutines also run at
+		// different lengths side by side.
+		var inputs [][][]float64
+		for i, inst := range train {
+			inputs = append(inputs, [][]float64{inst[0][:8+i%17]}, inst)
+		}
+		want := make([][]float64, len(inputs))
+		for i, in := range inputs {
+			want[i] = m.PredictProba(in)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < 4; r++ {
+					for j := range inputs {
+						i := (j + g*5) % len(inputs)
+						got := m.PredictProba(inputs[i])
+						for c := range got {
+							if math.Float64bits(got[c]) != math.Float64bits(want[i][c]) {
+								t.Errorf("attention=%v goroutine %d input %d: got %v, serial %v", attention, g, i, got, want[i])
+								return
+							}
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

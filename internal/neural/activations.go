@@ -7,25 +7,29 @@ import (
 
 // ReLU applies max(0, x) element-wise on [channels][time] activations.
 type ReLU struct {
-	mask [][]bool
+	mask    [][]bool
+	out, dx [][]float64 // training-path buffers
 }
 
 // Forward clamps negatives to zero.
 func (r *ReLU) Forward(x [][]float64, train bool) [][]float64 {
-	y := matrix(len(x), len(x[0]))
+	y := scratch(&r.out, train, len(x), len(x[0]))
 	if train {
-		r.mask = make([][]bool, len(x))
+		scratch(&r.mask, true, len(x), len(x[0]))
 	}
-	for c := range x {
-		if train {
-			r.mask[c] = make([]bool, len(x[c]))
-		}
-		for t, v := range x[c] {
+	for c, xc := range x {
+		yc := y[c][:len(xc)]
+		for t, v := range xc {
 			if v > 0 {
-				y[c][t] = v
-				if train {
-					r.mask[c][t] = true
-				}
+				yc[t] = v
+			} else {
+				yc[t] = 0
+			}
+		}
+		if train {
+			mc := r.mask[c][:len(xc)]
+			for t, v := range xc {
+				mc[t] = v > 0
 			}
 		}
 	}
@@ -34,11 +38,14 @@ func (r *ReLU) Forward(x [][]float64, train bool) [][]float64 {
 
 // Backward zeroes gradients where the input was negative.
 func (r *ReLU) Backward(grad [][]float64) [][]float64 {
-	dx := matrix(len(grad), len(grad[0]))
-	for c := range grad {
-		for t, g := range grad[c] {
-			if r.mask[c][t] {
-				dx[c][t] = g
+	dx := scratch(&r.dx, true, len(grad), len(grad[0]))
+	for c, gc := range grad {
+		mask, dc := r.mask[c][:len(gc)], dx[c][:len(gc)]
+		for t, g := range gc {
+			if mask[t] {
+				dc[t] = g
+			} else {
+				dc[t] = 0
 			}
 		}
 	}
@@ -51,6 +58,8 @@ type Dropout struct {
 	Rate float64
 	rng  *rand.Rand
 	mask []float64
+
+	out, dx []float64 // training-path buffers
 }
 
 // NewDropout creates a dropout layer with the given drop probability.
@@ -63,13 +72,15 @@ func (d *Dropout) ForwardVec(x []float64, train bool) []float64 {
 	if !train || d.Rate <= 0 {
 		return x
 	}
-	y := make([]float64, len(x))
-	d.mask = make([]float64, len(x))
+	y := scratchVec(&d.out, true, len(x))
+	d.mask = grow(d.mask, len(x))
 	keep := 1 - d.Rate
 	for i, v := range x {
 		if d.rng.Float64() < keep {
 			d.mask[i] = 1 / keep
 			y[i] = v / keep
+		} else {
+			d.mask[i], y[i] = 0, 0
 		}
 	}
 	return y
@@ -80,7 +91,7 @@ func (d *Dropout) BackwardVec(grad []float64) []float64 {
 	if d.mask == nil {
 		return grad
 	}
-	dx := make([]float64, len(grad))
+	dx := scratchVec(&d.dx, true, len(grad))
 	for i, g := range grad {
 		dx[i] = g * d.mask[i]
 	}

@@ -11,6 +11,7 @@ type Conv1D struct {
 	bias   *Param // [out]
 
 	inCache [][]float64
+	out, dx [][]float64 // training-path buffers
 }
 
 // NewConv1D creates a Glorot-initialized convolution layer.
@@ -34,7 +35,7 @@ func (c *Conv1D) Forward(x [][]float64, train bool) [][]float64 {
 	}
 	T := len(x[0])
 	left := (c.Kernel - 1) / 2
-	y := matrix(c.OutChannels, T)
+	y := scratch(&c.out, train, c.OutChannels, T)
 	for o := 0; o < c.OutChannels; o++ {
 		row := y[o]
 		b := c.bias.Val[o]
@@ -51,7 +52,7 @@ func (c *Conv1D) Forward(x [][]float64, train bool) [][]float64 {
 					continue
 				}
 				src := xin[tLo+k-left : tHi+k-left]
-				dst := row[tLo:tHi]
+				dst := row[tLo:tHi][:len(src)]
 				for t, v := range src {
 					dst[t] += w * v
 				}
@@ -61,38 +62,58 @@ func (c *Conv1D) Forward(x [][]float64, train bool) [][]float64 {
 	return y
 }
 
-// Backward accumulates parameter gradients and returns dL/dx. The loop
-// stays o → t outermost so each dx[in][src] adds its contributions in
-// ascending t; per t only the valid tap range [kLo, kHi) is visited.
+// Backward accumulates parameter gradients and returns dL/dx. It runs
+// tap-major, o → in → k like Forward, with long loops over t: each output
+// row's bias gradient is one sum over t, each weight-gradient tap one dot
+// product over t in ascending order, and the input gradient one axpy per
+// tap with k descending, so within each o every dx[in][s] still adds its
+// terms in ascending t, as the o → t form does. That form skipped g == 0
+// terms; these loops do not, and for finite weights and inputs that
+// changes no bit: a skipped term is ±0, and a sum that starts at +0 never
+// becomes −0, so adding ±0 leaves it as it was. For a non-finite weight
+// or input, 0·x is NaN, but in MLSTM-FCN, this layer's only user, that
+// case never reaches a g == 0: the non-finite operand makes its output
+// rows non-finite (a non-finite input every row), and the ChannelNorm
+// after each convolution then returns an all-NaN gradient for those rows.
 func (c *Conv1D) Backward(grad [][]float64) [][]float64 {
 	x := c.inCache
 	T := len(x[0])
+	dx := scratch(&c.dx, true, c.InChannels, T)
+	clearRows(dx)
 	left := (c.Kernel - 1) / 2
-	dx := matrix(c.InChannels, T)
 	for o := 0; o < c.OutChannels; o++ {
-		gRow := grad[o]
-		for t, g := range gRow {
-			if g == 0 {
-				continue
-			}
-			c.bias.Grad[o] += g
-			// Valid k satisfy 0 <= t+k-left < T.
-			kLo, kHi := max(left-t, 0), min(T+left-t, c.Kernel)
-			sLo, sHi := t+kLo-left, t+kHi-left
-			for in := 0; in < c.InChannels; in++ {
-				xs := x[in][sLo:sHi]
-				ds := dx[in][sLo:sHi]
-				ws := c.weight.Val[c.w(o, in, kLo):c.w(o, in, kHi)]
-				gs := c.weight.Grad[c.w(o, in, kLo):c.w(o, in, kHi)]
-				ws, gs, ds = ws[:len(xs)], gs[:len(xs)], ds[:len(xs)]
-				for j, xv := range xs {
-					gs[j] += g * xv
-					ds[j] += g * ws[j]
+		gRow := grad[o][:T]
+		bias := c.bias.Grad[o]
+		for _, g := range gRow {
+			bias += g
+		}
+		c.bias.Grad[o] = bias
+		for in := 0; in < c.InChannels; in++ {
+			xin, din := x[in], dx[in]
+			ws := c.weight.Val[c.w(o, in, 0):c.w(o, in, c.Kernel)]
+			gs := c.weight.Grad[c.w(o, in, 0):c.w(o, in, c.Kernel)]
+			for k := c.Kernel - 1; k >= 0; k-- {
+				// Valid t satisfy 0 <= t+k-left < T.
+				tLo, tHi := max(left-k, 0), min(T+left-k, T)
+				if tLo >= tHi {
+					continue
 				}
+				gs[k] = dotAxpy(gs[k], ws[k], gRow[tLo:tHi], xin[tLo+k-left:tHi+k-left], din[tLo+k-left:tHi+k-left])
 			}
 		}
 	}
 	return dx
+}
+
+// dotAxpy returns acc + Σ g[t]·x[t], added in ascending t, and adds
+// g[t]·w to each dx[t].
+func dotAxpy(acc, w float64, g, x, dx []float64) float64 {
+	x, dx = x[:len(g)], dx[:len(g)]
+	for t, gv := range g {
+		acc += gv * x[t]
+		dx[t] += gv * w
+	}
+	return acc
 }
 
 // Params returns the learnable parameters.

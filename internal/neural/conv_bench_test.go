@@ -29,26 +29,34 @@ func BenchmarkConv1DForward(b *testing.B) {
 	}
 }
 
+// BenchmarkConv1DBackward runs Backward on a dense upstream gradient, as
+// in MLSTM-FCN where it comes from ChannelNorm.Backward, and on one about
+// half zero, as behind a ReLU.
 func BenchmarkConv1DBackward(b *testing.B) {
 	for _, s := range convShapes {
-		b.Run(fmt.Sprintf("%dto%d_k%d", s.in, s.out, s.k), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			layer := NewConv1D(s.in, s.out, s.k, rng)
-			x := randMatrix(rng, s.in, convBenchT)
-			grad := randMatrix(rng, s.out, convBenchT)
-			// About half the upstream gradient is zero, as behind a ReLU.
-			for _, row := range grad {
-				for t := range row {
-					if row[t] < 0 {
-						row[t] = 0
+		for _, sparse := range []bool{false, true} {
+			name := "dense"
+			if sparse {
+				name = "halfzero"
+			}
+			b.Run(fmt.Sprintf("%dto%d_k%d/%s", s.in, s.out, s.k, name), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				layer := NewConv1D(s.in, s.out, s.k, rng)
+				x := randMatrix(rng, s.in, convBenchT)
+				grad := randMatrix(rng, s.out, convBenchT)
+				for _, row := range grad {
+					for t := range row {
+						if sparse && row[t] < 0 {
+							row[t] = 0
+						}
 					}
 				}
-			}
-			layer.Forward(x, true)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				convSink = layer.Backward(grad)
-			}
-		})
+				layer.Forward(x, true)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					convSink = layer.Backward(grad)
+				}
+			})
+		}
 	}
 }

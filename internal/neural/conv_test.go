@@ -70,6 +70,55 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// convGradKinds shape the upstream gradient of one Backward call.
+var convGradKinds = []struct {
+	name string
+	fill func(grad [][]float64)
+}{
+	// Dense, as from ChannelNorm.Backward in MLSTM-FCN.
+	{"dense", func([][]float64) {}},
+	// Row 0 all zero and the others about half zero, as behind a ReLU.
+	{"half zero", func(grad [][]float64) {
+		for o, row := range grad {
+			for i := range row {
+				if o == 0 || row[i] < 0 {
+					row[i] = 0
+				}
+			}
+		}
+	}},
+	// Exact +0 and −0 entries between dense ones.
+	{"signed zeros", func(grad [][]float64) {
+		for _, row := range grad {
+			for i := range row {
+				switch i % 3 {
+				case 0:
+					row[i] = 0
+				case 1:
+					row[i] = math.Copysign(0, -1)
+				}
+			}
+		}
+	}},
+}
+
+// convPoisons plant non-finite values in the gradient. A non-finite
+// input or weight is not covered: the reference skips g == 0 terms, and
+// 0·Inf is NaN, so the two differ there by design (see Backward).
+var convPoisons = []struct {
+	name  string
+	apply func(grad [][]float64)
+}{
+	{"finite", func([][]float64) {}},
+	{"nan grad", func(grad [][]float64) { grad[len(grad)-1][0] = math.NaN() }},
+	{"inf grad", func(grad [][]float64) { grad[0][len(grad[0])-1] = math.Inf(-1) }},
+}
+
+// TestConv1DMatchesReferenceBits runs three successive Forward/Backward
+// pairs on one layer, with the series length changing between them, and
+// requires the bits of the per-output, per-tap reference loops at every
+// step: outputs, input gradients and the accumulated weight and bias
+// gradients. Reused buffers therefore cannot leak stale values.
 func TestConv1DMatchesReferenceBits(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -84,49 +133,51 @@ func TestConv1DMatchesReferenceBits(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(tc.in*100 + tc.k*10 + tc.T)))
-			layer := NewConv1D(tc.in, tc.out, tc.k, rng)
-			for i := range layer.bias.Val {
-				layer.bias.Val[i] = rng.NormFloat64()
-			}
-			x := randMatrix(rng, tc.in, tc.T)
-			y := layer.Forward(x, true)
-			want := refConvForward(layer, x)
-			for o := range y {
-				if !sameBits(y[o], want[o]) {
-					t.Fatalf("forward row %d:\n got  %v\n want %v", o, y[o], want[o])
-				}
-			}
-
-			// Row 0 is all zero and the others are about half zero, so
-			// both the whole-row and the per-point skip are exercised.
-			grad := randMatrix(rng, tc.out, tc.T)
-			for o, row := range grad {
-				for i := range row {
-					if o == 0 || row[i] < 0 {
-						row[i] = 0
-					}
-				}
-			}
-			wGrad := make([]float64, len(layer.weight.Grad))
-			bGrad := make([]float64, len(layer.bias.Grad))
-			// Repeated calls accumulate into Grad; the reference
-			// accumulates the same way.
-			for call := 0; call < 3; call++ {
-				dx := layer.Backward(grad)
-				wantDx := refConvBackward(layer, x, grad, wGrad, bGrad)
-				for in := range dx {
-					if !sameBits(dx[in], wantDx[in]) {
-						t.Fatalf("call %d dx row %d:\n got  %v\n want %v", call, in, dx[in], wantDx[in])
-					}
-				}
-				if !sameBits(layer.weight.Grad, wGrad) {
-					t.Fatalf("call %d weight grad:\n got  %v\n want %v", call, layer.weight.Grad, wGrad)
-				}
-				if !sameBits(layer.bias.Grad, bGrad) {
-					t.Fatalf("call %d bias grad:\n got  %v\n want %v", call, layer.bias.Grad, bGrad)
+			for _, gk := range convGradKinds {
+				for _, poison := range convPoisons {
+					t.Run(gk.name+"/"+poison.name, func(t *testing.T) {
+						checkConvAgainstReference(t, tc.in, tc.out, tc.k, tc.T, gk.fill, poison.apply)
+					})
 				}
 			}
 		})
+	}
+}
+
+func checkConvAgainstReference(t *testing.T, in, out, k, T int, fill, poison func([][]float64)) {
+	rng := rand.New(rand.NewSource(int64(in*100 + k*10 + T)))
+	layer := NewConv1D(in, out, k, rng)
+	for i := range layer.bias.Val {
+		layer.bias.Val[i] = rng.NormFloat64()
+	}
+	// Backward accumulates into Grad; the reference accumulates the
+	// same way across calls.
+	wGrad := make([]float64, len(layer.weight.Grad))
+	bGrad := make([]float64, len(layer.bias.Grad))
+	for call, length := range []int{T, max(T-3, 1), T + 2} {
+		x := randMatrix(rng, in, length)
+		grad := randMatrix(rng, out, length)
+		fill(grad)
+		poison(grad)
+		y := layer.Forward(x, true)
+		want := refConvForward(layer, x)
+		for o := range y {
+			if !sameBits(y[o], want[o]) {
+				t.Fatalf("call %d forward row %d:\n got  %v\n want %v", call, o, y[o], want[o])
+			}
+		}
+		dx := layer.Backward(grad)
+		wantDx := refConvBackward(layer, x, grad, wGrad, bGrad)
+		for i := range dx {
+			if !sameBits(dx[i], wantDx[i]) {
+				t.Fatalf("call %d dx row %d:\n got  %v\n want %v", call, i, dx[i], wantDx[i])
+			}
+		}
+		if !sameBits(layer.weight.Grad, wGrad) {
+			t.Fatalf("call %d weight grad:\n got  %v\n want %v", call, layer.weight.Grad, wGrad)
+		}
+		if !sameBits(layer.bias.Grad, bGrad) {
+			t.Fatalf("call %d bias grad:\n got  %v\n want %v", call, layer.bias.Grad, bGrad)
+		}
 	}
 }

@@ -10,6 +10,7 @@ type Dense struct {
 	bias   *Param
 
 	inCache []float64
+	out, dx []float64 // training-path buffers
 }
 
 // NewDense creates a Glorot-initialized dense layer.
@@ -26,7 +27,7 @@ func (d *Dense) ForwardVec(x []float64, train bool) []float64 {
 	if train {
 		d.inCache = x
 	}
-	y := make([]float64, d.Out)
+	y := scratchVec(&d.out, train, d.Out)
 	for o := 0; o < d.Out; o++ {
 		sum := d.bias.Val[o]
 		row := d.weight.Val[o*d.In : (o+1)*d.In]
@@ -40,7 +41,8 @@ func (d *Dense) ForwardVec(x []float64, train bool) []float64 {
 
 // BackwardVec accumulates parameter gradients and returns dL/dx.
 func (d *Dense) BackwardVec(grad []float64) []float64 {
-	dx := make([]float64, d.In)
+	dx := scratchVec(&d.dx, true, d.In)
+	clear(dx)
 	for o := 0; o < d.Out; o++ {
 		g := grad[o]
 		if g == 0 {
@@ -64,13 +66,19 @@ func (d *Dense) Params() []*Param { return []*Param{d.weight, d.bias} }
 type GlobalAvgPool struct {
 	timePoints int
 	channels   int
+
+	// training-path buffers
+	out []float64
+	dx  [][]float64
 }
 
 // Forward averages [channels][time] to [channels].
 func (g *GlobalAvgPool) Forward(x [][]float64, train bool) []float64 {
-	g.channels = len(x)
-	g.timePoints = len(x[0])
-	out := make([]float64, len(x))
+	if train {
+		g.channels = len(x)
+		g.timePoints = len(x[0])
+	}
+	out := scratchVec(&g.out, train, len(x))
 	for c := range x {
 		var sum float64
 		for _, v := range x[c] {
@@ -83,7 +91,7 @@ func (g *GlobalAvgPool) Forward(x [][]float64, train bool) []float64 {
 
 // Backward spreads the gradient uniformly over time.
 func (g *GlobalAvgPool) Backward(grad []float64) [][]float64 {
-	dx := matrix(g.channels, g.timePoints)
+	dx := scratch(&g.dx, true, g.channels, g.timePoints)
 	for c := 0; c < g.channels; c++ {
 		share := grad[c] / float64(g.timePoints)
 		for t := 0; t < g.timePoints; t++ {

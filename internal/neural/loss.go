@@ -11,12 +11,13 @@ import (
 type SoftmaxCrossEntropy struct {
 	probs []float64
 	label int
+	grad  []float64 // Backward's buffer
 }
 
 // Forward returns the loss for the given logits and true label, caching
 // state for Backward.
 func (s *SoftmaxCrossEntropy) Forward(logits []float64, label int) float64 {
-	s.probs = stats.Softmax(logits, nil)
+	s.probs = stats.Softmax(logits, grow(s.probs, len(logits)))
 	s.label = label
 	p := s.probs[label]
 	if p < 1e-15 {
@@ -30,7 +31,7 @@ func (s *SoftmaxCrossEntropy) Probs() []float64 { return s.probs }
 
 // Backward returns dL/dlogits.
 func (s *SoftmaxCrossEntropy) Backward() []float64 {
-	grad := append([]float64(nil), s.probs...)
-	grad[s.label] -= 1
-	return grad
+	s.grad = append(s.grad[:0], s.probs...)
+	s.grad[s.label] -= 1
+	return s.grad
 }

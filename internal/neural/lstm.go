@@ -17,6 +17,10 @@ type LSTM struct {
 	xs            [][]float64
 	hs, cs        [][]float64 // h[0], c[0] are the initial zero states
 	gi, gf, gg, o [][]float64
+
+	// BackwardSeq's and BackwardSeqAll's buffers
+	gradHs, dxs            [][]float64
+	dh, dc, dhPrev, dcPrev []float64
 }
 
 // NewLSTM creates an LSTM with Glorot weights and forget-gate bias 1.
@@ -46,26 +50,22 @@ func (l *LSTM) ForwardSeq(seq [][]float64, train bool) []float64 {
 func (l *LSTM) ForwardSeqAll(seq [][]float64, train bool) [][]float64 {
 	H := l.Hidden
 	steps := len(seq)
-	h := make([]float64, H)
-	c := make([]float64, H)
-	all := make([][]float64, 0, steps)
+	hs := scratch(&l.hs, train, steps+1, H)
+	cs := scratch(&l.cs, train, steps+1, H)
+	gi := scratch(&l.gi, train, steps, H)
+	gf := scratch(&l.gf, train, steps, H)
+	gg := scratch(&l.gg, train, steps, H)
+	o := scratch(&l.o, train, steps, H)
 	if train {
 		l.xs = seq
-		l.hs = [][]float64{append([]float64(nil), h...)}
-		l.cs = [][]float64{append([]float64(nil), c...)}
-		l.gi = make([][]float64, steps)
-		l.gf = make([][]float64, steps)
-		l.gg = make([][]float64, steps)
-		l.o = make([][]float64, steps)
+		clear(hs[0])
+		clear(cs[0])
 	}
 	for t := 0; t < steps; t++ {
 		x := seq[t]
-		gi := make([]float64, H)
-		gf := make([]float64, H)
-		gg := make([]float64, H)
-		o := make([]float64, H)
-		newC := make([]float64, H)
-		newH := make([]float64, H)
+		h, c := hs[t], cs[t]
+		gi, gf, gg, o := gi[t], gf[t], gg[t], o[t]
+		newC, newH := cs[t+1], hs[t+1]
 		for j := 0; j < H; j++ {
 			zi := l.gatePre(0, j, x, h)
 			zf := l.gatePre(1, j, x, h)
@@ -78,15 +78,8 @@ func (l *LSTM) ForwardSeqAll(seq [][]float64, train bool) [][]float64 {
 			newC[j] = gf[j]*c[j] + gi[j]*gg[j]
 			newH[j] = o[j] * tanh(newC[j])
 		}
-		h, c = newH, newC
-		all = append(all, h)
-		if train {
-			l.gi[t], l.gf[t], l.gg[t], l.o[t] = gi, gf, gg, o
-			l.hs = append(l.hs, append([]float64(nil), h...))
-			l.cs = append(l.cs, append([]float64(nil), c...))
-		}
 	}
-	return all
+	return hs[1:]
 }
 
 // gatePre computes the pre-activation of gate g (0..3) unit j.
@@ -111,8 +104,10 @@ func (l *LSTM) gatePre(g, j int, x, h []float64) float64 {
 // BackwardSeq backpropagates dL/dh_final through time, accumulating
 // parameter gradients, and returns dL/dx per step.
 func (l *LSTM) BackwardSeq(gradH []float64) [][]float64 {
-	grads := make([][]float64, len(l.xs))
+	grads := grow(l.gradHs, len(l.xs))
+	clear(grads)
 	grads[len(grads)-1] = gradH
+	l.gradHs = grads
 	return l.BackwardSeqAll(grads)
 }
 
@@ -122,21 +117,27 @@ func (l *LSTM) BackwardSeq(gradH []float64) [][]float64 {
 func (l *LSTM) BackwardSeqAll(gradHs [][]float64) [][]float64 {
 	H := l.Hidden
 	steps := len(l.xs)
-	dh := make([]float64, H)
+	dh := scratchVec(&l.dh, true, H)
+	dc := scratchVec(&l.dc, true, H)
+	dhPrev := scratchVec(&l.dhPrev, true, H)
+	dcPrev := scratchVec(&l.dcPrev, true, H)
+	clear(dh)
+	clear(dc)
 	if g := gradHs[steps-1]; g != nil {
 		copy(dh, g)
 	}
-	dc := make([]float64, H)
-	dxs := make([][]float64, steps)
+	dxs := grow(l.dxs, steps)
+	l.dxs = dxs
 	for t := steps - 1; t >= 0; t-- {
 		x := l.xs[t]
 		hPrev := l.hs[t]
 		cPrev := l.cs[t]
 		cCur := l.cs[t+1]
 		gi, gf, gg, o := l.gi[t], l.gf[t], l.gg[t], l.o[t]
-		dx := make([]float64, len(x))
-		dhPrev := make([]float64, H)
-		dcPrev := make([]float64, H)
+		dx := grow(dxs[t], len(x))
+		dxs[t] = dx
+		clear(dx)
+		clear(dhPrev)
 		for j := 0; j < H; j++ {
 			tc := tanh(cCur[j])
 			dO := dh[j] * tc
@@ -150,7 +151,7 @@ func (l *LSTM) BackwardSeqAll(gradHs [][]float64) [][]float64 {
 			dzf := dGf * gf[j] * (1 - gf[j])
 			dzg := dGg * (1 - gg[j]*gg[j])
 			dzo := dO * o[j] * (1 - o[j])
-			for g, dz := range []float64{dzi, dzf, dzg, dzo} {
+			for g, dz := range [4]float64{dzi, dzf, dzg, dzo} {
 				if dz == 0 {
 					continue
 				}
@@ -170,8 +171,7 @@ func (l *LSTM) BackwardSeqAll(gradHs [][]float64) [][]float64 {
 				}
 			}
 		}
-		dxs[t] = dx
-		dh = dhPrev
+		dh, dhPrev = dhPrev, dh
 		if t > 0 {
 			if g := gradHs[t-1]; g != nil {
 				for j := range dh {
@@ -179,7 +179,7 @@ func (l *LSTM) BackwardSeqAll(gradHs [][]float64) [][]float64 {
 				}
 			}
 		}
-		dc = dcPrev
+		dc, dcPrev = dcPrev, dc
 	}
 	return dxs
 }

@@ -9,6 +9,14 @@
 // convolutional path and as flat vectors for the fully-connected path.
 // Layers process one sample at a time; mini-batching is achieved by
 // accumulating gradients across samples before an optimizer step.
+//
+// On the training path (train == true, and every Backward) a layer writes
+// its outputs, caches and gradients into buffers it owns and reuses them
+// from sample to sample, so a training step allocates nothing once they
+// have grown to the largest sample. A returned buffer is valid until the
+// layer's next call of the same method. Inference (train == false)
+// allocates fresh, so one trained network serves concurrent inference
+// calls.
 package neural
 
 import (
@@ -96,4 +104,49 @@ func matrix(channels, time int) [][]float64 {
 		out[c] = make([]float64, time)
 	}
 	return out
+}
+
+// grow returns s resized to length n. It keeps the backing array when
+// that is large enough and copies the old entries when not, so a grown
+// matrix keeps its rows; float contents are stale and callers overwrite
+// every entry.
+func grow[E any](s []E, n int) []E {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]E, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// scratch returns a rows × cols matrix: the layer-owned *buf resized and
+// reused when train is set, with stale contents, or a fresh zeroed one.
+func scratch[E any](buf *[][]E, train bool, rows, cols int) [][]E {
+	if !train {
+		out := make([][]E, rows)
+		for r := range out {
+			out[r] = make([]E, cols)
+		}
+		return out
+	}
+	m := grow(*buf, rows)
+	for r := range m {
+		m[r] = grow(m[r], cols)
+	}
+	*buf = m
+	return m
+}
+
+// scratchVec is scratch for a vector.
+func scratchVec(buf *[]float64, train bool, n int) []float64 {
+	if !train {
+		return make([]float64, n)
+	}
+	*buf = grow(*buf, n)
+	return *buf
+}
+
+// clearRows zeroes every row of m.
+func clearRows(m [][]float64) {
+	for _, row := range m {
+		clear(row)
+	}
 }

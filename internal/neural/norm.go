@@ -19,6 +19,8 @@ type ChannelNorm struct {
 	xHat       [][]float64
 	invStd     []float64
 	timePoints int
+
+	out, dx [][]float64 // training-path buffers
 }
 
 // NewChannelNorm creates a norm layer with unit scale and zero shift.
@@ -42,10 +44,10 @@ func NewChannelNorm(channels int) *ChannelNorm {
 // the running averages are used.
 func (n *ChannelNorm) Forward(x [][]float64, train bool) [][]float64 {
 	T := len(x[0])
-	y := matrix(n.Channels, T)
+	y := scratch(&n.out, train, n.Channels, T)
 	if train {
-		n.xHat = matrix(n.Channels, T)
-		n.invStd = make([]float64, n.Channels)
+		scratch(&n.xHat, true, n.Channels, T)
+		n.invStd = grow(n.invStd, n.Channels)
 		n.timePoints = T
 	}
 	for c := 0; c < n.Channels; c++ {
@@ -68,15 +70,18 @@ func (n *ChannelNorm) Forward(x [][]float64, train bool) [][]float64 {
 		}
 		invStd := 1 / math.Sqrt(variance+n.Eps)
 		g, b := n.gamma.Val[c], n.beta.Val[c]
-		for t := 0; t < T; t++ {
-			xh := (x[c][t] - mean) * invStd
-			if train {
-				n.xHat[c][t] = xh
-			}
-			y[c][t] = g*xh + b
-		}
+		var xHat []float64
 		if train {
+			xHat = n.xHat[c][:T]
 			n.invStd[c] = invStd
+		}
+		yc := y[c][:T]
+		for t, v := range x[c][:T] {
+			xh := (v - mean) * invStd
+			if train {
+				xHat[t] = xh
+			}
+			yc[t] = g*xh + b
 		}
 	}
 	return y
@@ -85,21 +90,25 @@ func (n *ChannelNorm) Forward(x [][]float64, train bool) [][]float64 {
 // Backward propagates gradients through the normalization.
 func (n *ChannelNorm) Backward(grad [][]float64) [][]float64 {
 	T := n.timePoints
-	dx := matrix(n.Channels, T)
+	dx := scratch(&n.dx, true, n.Channels, T)
 	for c := 0; c < n.Channels; c++ {
-		g := n.gamma.Val[c]
+		gc, xHat, dxc := grad[c][:T], n.xHat[c][:T], dx[c][:T]
+		dGamma, dBeta := n.gamma.Grad[c], n.beta.Grad[c]
 		var sumDy, sumDyXhat float64
-		for t := 0; t < T; t++ {
-			dy := grad[c][t]
-			n.gamma.Grad[c] += dy * n.xHat[c][t]
-			n.beta.Grad[c] += dy
+		for t, dy := range gc {
+			p := dy * xHat[t]
+			dGamma += p
+			dBeta += dy
 			sumDy += dy
-			sumDyXhat += dy * n.xHat[c][t]
+			sumDyXhat += p
 		}
-		// dL/dx for normalization over the time axis.
-		for t := 0; t < T; t++ {
-			dy := grad[c][t]
-			dx[c][t] = g * n.invStd[c] * (dy - sumDy/float64(T) - n.xHat[c][t]*sumDyXhat/float64(T))
+		n.gamma.Grad[c], n.beta.Grad[c] = dGamma, dBeta
+		// dL/dx for normalization over the time axis:
+		// γ·invStd · (dy − Σdy/T − x̂·Σ(dy·x̂)/T).
+		scale := n.gamma.Val[c] * n.invStd[c]
+		meanDy := sumDy / float64(T)
+		for t, dy := range gc {
+			dxc[t] = scale * (dy - meanDy - xHat[t]*sumDyXhat/float64(T))
 		}
 	}
 	return dx

@@ -16,6 +16,10 @@ type SqueezeExcite struct {
 	hid   []float64
 	preS  []float64
 	timeN int
+
+	// training-path buffers
+	out, dx                 [][]float64
+	squeeze, dPreGate, dPre []float64
 }
 
 // NewSqueezeExcite creates a block with the given reduction ratio
@@ -35,7 +39,7 @@ func NewSqueezeExcite(channels, ratio int, rng *rand.Rand) *SqueezeExcite {
 // Forward rescales channels by the learned gate.
 func (s *SqueezeExcite) Forward(x [][]float64, train bool) [][]float64 {
 	T := len(x[0])
-	squeeze := make([]float64, s.Channels)
+	squeeze := scratchVec(&s.squeeze, train, s.Channels)
 	for c := range x {
 		var sum float64
 		for _, v := range x[c] {
@@ -44,18 +48,20 @@ func (s *SqueezeExcite) Forward(x [][]float64, train bool) [][]float64 {
 		squeeze[c] = sum / float64(T)
 	}
 	pre := s.fc1.ForwardVec(squeeze, train)
-	hid := make([]float64, len(pre))
+	hid := scratchVec(&s.hid, train, len(pre))
 	for i, v := range pre {
 		if v > 0 {
 			hid[i] = v
+		} else {
+			hid[i] = 0
 		}
 	}
 	preGate := s.fc2.ForwardVec(hid, train)
-	gate := make([]float64, len(preGate))
+	gate := scratchVec(&s.gate, train, len(preGate))
 	for i, v := range preGate {
 		gate[i] = sigmoid(v)
 	}
-	y := matrix(s.Channels, T)
+	y := scratch(&s.out, train, s.Channels, T)
 	for c := range x {
 		g := gate[c]
 		for t, v := range x[c] {
@@ -75,27 +81,27 @@ func (s *SqueezeExcite) Forward(x [][]float64, train bool) [][]float64 {
 // Backward propagates through the gate and both dense layers.
 func (s *SqueezeExcite) Backward(grad [][]float64) [][]float64 {
 	T := s.timeN
-	dx := matrix(s.Channels, T)
-	dGate := make([]float64, s.Channels)
+	dx := scratch(&s.dx, true, s.Channels, T)
+	dPreGate := scratchVec(&s.dPreGate, true, s.Channels)
 	for c := 0; c < s.Channels; c++ {
 		g := s.gate[c]
+		var dGate float64
 		for t := 0; t < T; t++ {
 			dy := grad[c][t]
 			dx[c][t] = dy * g
-			dGate[c] += dy * s.x[c][t]
+			dGate += dy * s.x[c][t]
 		}
-	}
-	// Through the sigmoid.
-	dPreGate := make([]float64, s.Channels)
-	for c := range dGate {
-		dPreGate[c] = dGate[c] * s.gate[c] * (1 - s.gate[c])
+		// Through the sigmoid.
+		dPreGate[c] = dGate * g * (1 - g)
 	}
 	dHid := s.fc2.BackwardVec(dPreGate)
 	// Through the bottleneck ReLU.
-	dPre := make([]float64, len(dHid))
+	dPre := scratchVec(&s.dPre, true, len(dHid))
 	for i := range dHid {
 		if s.preS[i] > 0 {
 			dPre[i] = dHid[i]
+		} else {
+			dPre[i] = 0
 		}
 	}
 	dSqueeze := s.fc1.BackwardVec(dPre)
