@@ -66,20 +66,28 @@ func (cur *cursor) Advance(upto int) (int, int, bool) {
 	if upto < p {
 		p = upto
 	}
+	// The window loop reads everything from locals sized to the
+	// shapelets: the compiler hoists no loads out of loops, so field
+	// reads such as cur.minSq[i] would repeat, bounds check included, on
+	// every point of every window.
+	shapelets := cur.c.shapelets
+	minSq, thrAbandon := cur.minSq[:len(shapelets)], cur.thrAbandon[:len(shapelets)]
 	for t := cur.t + 1; t <= p; t++ {
-		for i := range cur.c.shapelets {
-			sh := &cur.c.shapelets[i]
-			m := len(sh.Values)
+		for i := range shapelets {
+			sh := &shapelets[i]
+			vals := sh.Values
+			m := len(vals)
 			if t < m {
 				continue
 			}
-			window := s[t-m : t]
+			window := s[t-m : t][:m]
+			best, thr := minSq[i], thrAbandon[i]
 			var sum float64
 			abandoned := false
-			for j, v := range sh.Values {
+			for j, v := range vals {
 				d := v - window[j]
 				sum += d * d
-				if sum >= cur.minSq[i] && sum > cur.thrAbandon[i] {
+				if sum >= best && sum > thr {
 					abandoned = true
 					break
 				}
@@ -92,8 +100,8 @@ func (cur *cursor) Advance(upto int) (int, int, bool) {
 				cur.label, cur.consumed, cur.done = sh.Class, t, true
 				return cur.label, cur.consumed, true
 			}
-			if sum < cur.minSq[i] {
-				cur.minSq[i] = sum
+			if sum < best {
+				minSq[i] = sum
 			}
 		}
 	}

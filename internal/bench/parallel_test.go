@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -180,15 +179,6 @@ func TestGetUsesIndexAfterRun(t *testing.T) {
 
 func BenchmarkRunMatrixSerial(b *testing.B)   { benchmarkMatrix(b, 1) }
 func BenchmarkRunMatrixParallel(b *testing.B) { benchmarkMatrix(b, 0) }
-
-// BenchmarkRunMatrixWorkers measures the matrix at the worker bound in
-// $GOETSC_BENCH_WORKERS (default: all cores). tools/benchjson runs it
-// once per bound to stamp the workers scaling curve into the benchmark
-// document.
-func BenchmarkRunMatrixWorkers(b *testing.B) {
-	w, _ := strconv.Atoi(os.Getenv("GOETSC_BENCH_WORKERS"))
-	benchmarkMatrix(b, w)
-}
 
 // benchmarkMatrix measures one fast-preset matrix wall time at the given
 // worker count — the serial/parallel pair quantifies the engine speedup.

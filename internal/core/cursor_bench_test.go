@@ -109,45 +109,60 @@ func BenchmarkClassifyECTSCursor(b *testing.B) {
 	}
 }
 
-// benchReclassify replays one instance in streaming chunks the way the
+// reclassifyChunks replays one instance in streaming chunks the way the
 // serving layer did before cursors: re-classify the whole prefix on
 // every batch until the decision freezes.
-func benchReclassify(b *testing.B, fix *benchFixture, name string, d *ts.Dataset) {
-	algo, probe := fix.setup(b, name, d)
+func reclassifyChunks(algo core.EarlyClassifier, probe ts.Instance) {
 	L := probe.Length()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for n := streamChunk; ; n += streamChunk {
-			if n > L {
-				n = L
-			}
-			_, consumed := algo.Classify(probe.Prefix(n))
-			if consumed < n || n == L {
-				break
-			}
+	for n := streamChunk; ; n += streamChunk {
+		if n > L {
+			n = L
+		}
+		_, consumed := algo.Classify(probe.Prefix(n))
+		if consumed < n || n == L {
+			break
 		}
 	}
 }
 
-// benchStreamCursor replays the same chunks through one cursor.
-func benchStreamCursor(b *testing.B, fix *benchFixture, name string, d *ts.Dataset) {
+// cursorChunks replays the same chunks through one cursor.
+func cursorChunks(algo core.EarlyClassifier, probe ts.Instance) {
+	L := probe.Length()
+	cur, _ := core.NewCursor(algo, probe)
+	for n := streamChunk; ; n += streamChunk {
+		if n > L {
+			n = L
+		}
+		_, consumed, done := cur.Advance(n)
+		if done || consumed < n || n == L {
+			break
+		}
+	}
+}
+
+// nativeCursorFixture is fix.setup for the cursor side of a pair: it
+// fails unless the algorithm streams through a native cursor.
+func nativeCursorFixture(b *testing.B, fix *benchFixture, name string, d *ts.Dataset) (core.EarlyClassifier, ts.Instance) {
 	algo, probe := fix.setup(b, name, d)
 	if _, native := core.NewCursor(algo, probe); !native {
 		b.Fatalf("%s: expected a native cursor", name)
 	}
-	L := probe.Length()
+	return algo, probe
+}
+
+func benchReclassify(b *testing.B, fix *benchFixture, name string, d *ts.Dataset) {
+	algo, probe := fix.setup(b, name, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cur, _ := core.NewCursor(algo, probe)
-		for n := streamChunk; ; n += streamChunk {
-			if n > L {
-				n = L
-			}
-			_, consumed, done := cur.Advance(n)
-			if done || consumed < n || n == L {
-				break
-			}
-		}
+		reclassifyChunks(algo, probe)
+	}
+}
+
+func benchStreamCursor(b *testing.B, fix *benchFixture, name string, d *ts.Dataset) {
+	algo, probe := nativeCursorFixture(b, fix, name, d)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cursorChunks(algo, probe)
 	}
 }
 

@@ -299,38 +299,46 @@ func BenchmarkNearestF32(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefixScan sweeps one full query through the running-distance
+// prefixScanSweep sweeps one full query through the running-distance
 // accumulator — the distance kernel under every ECTS classification.
+func prefixScanSweep(ps *PrefixScan, query []float64) {
+	ps.Reset()
+	for l := 1; l <= len(query); l++ {
+		ps.ExtendBest(query, l)
+	}
+}
+
+// prefixScanSlicesSweep is the same sweep over the strided
+// slice-of-slices layout the transpose replaced.
+func prefixScanSlicesSweep(s *Searcher, query []float64) {
+	ref := &prefixScanSlices{s: s, sums: make([]float64, s.Len())}
+	for l := 1; l <= len(query); l++ {
+		ref.extend(query, l)
+		best, bestSum := -1, math.Inf(1)
+		for j, sum := range ref.sums {
+			if sum < bestSum {
+				best, bestSum = j, sum
+			}
+		}
+		_ = best
+	}
+}
+
 func BenchmarkPrefixScan(b *testing.B) {
 	s, query := benchSetup(b)
 	ps := s.NewPrefixScan()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps.Reset()
-		for l := 1; l <= len(query); l++ {
-			ps.ExtendBest(query, l)
-		}
+		prefixScanSweep(ps, query)
 	}
 }
 
-// BenchmarkPrefixScanSlices is the same sweep over the strided
-// slice-of-slices layout the transpose replaced.
 func BenchmarkPrefixScanSlices(b *testing.B) {
 	s, query := benchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ref := &prefixScanSlices{s: s, sums: make([]float64, s.Len())}
-		for l := 1; l <= len(query); l++ {
-			ref.extend(query, l)
-			best, bestSum := -1, math.Inf(1)
-			for j, sum := range ref.sums {
-				if sum < bestSum {
-					best, bestSum = j, sum
-				}
-			}
-			_ = best
-		}
+		prefixScanSlicesSweep(s, query)
 	}
 }
 

@@ -317,18 +317,6 @@ func (d *Dataset) PadToLength(L int) {
 	}
 }
 
-// ZNormalize normalizes every variable of every instance in place to zero
-// mean and unit standard deviation. Constant rows are set to all zeros.
-// The paper disables this step for streaming evaluation (Sections 3.6, 4);
-// it is provided for algorithms that explicitly require it.
-func (d *Dataset) ZNormalize() {
-	for _, in := range d.Instances {
-		for _, row := range in.Values {
-			ZNormalizeRow(row)
-		}
-	}
-}
-
 // ZNormalizeRow normalizes a single series in place to zero mean and unit
 // standard deviation; constant rows become all zeros.
 func ZNormalizeRow(row []float64) {
