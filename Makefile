@@ -47,10 +47,10 @@ chaos:
 # rollback restores byte-identical responses, circuit breakers open and
 # recover on their configured schedule, drain flushes in-flight work,
 # and at ~10x saturation admission control sheds cleanly while keeping
-# the admitted p99 within 2x of the unloaded p99.
+# the admitted p99 within 2x of the unloaded p99. Runs at GOMAXPROCS 1
+# and 2; the faults package's own serve hooks run under make chaos.
 chaos-serve:
-	$(GO) test -race -run 'Reload|Rollback|Breaker|Admission|Tenant|Shed|Overload|Drain|Readyz|Degraded|Corrupt' ./internal/serve/...
-	$(GO) test -race -run 'ServeHook|Corrupt' ./internal/faults/...
+	$(GO) test -race -cpu 1,2 -run 'Reload|Rollback|Breaker|Admission|Tenant|Shed|Overload|Drain|Readyz|Degraded|Corrupt' ./internal/serve/...
 
 # Continuous-ingest chaos under the race detector: a deterministic
 # drifting event stream must trip the detector, retrain in the
@@ -59,12 +59,12 @@ chaos-serve:
 # failed retrain leaving the old model serving, seeded event faults
 # (drops/duplicates/late arrivals) absorbed with exact counters, and
 # session + entity TTL eviction driven from one injected fake clock.
-# The ingest suite runs at GOMAXPROCS 1 and 2, so its shard goroutines
-# also run truly in parallel, not only interleaved.
+# Both lines run at GOMAXPROCS 1 and 2, so the shard goroutines also
+# run truly in parallel, not only interleaved; the faults package's
+# event hooks run under make chaos.
 chaos-ingest:
 	$(GO) test -race -cpu 1,2 ./internal/ingest/...
-	$(GO) test -race -run 'Event' ./internal/faults/...
-	$(GO) test -race -run 'SharedClock|Eviction' ./internal/serve/...
+	$(GO) test -race -cpu 1,2 -run 'SharedClock|Eviction' ./internal/serve/...
 
 # Fleet chaos under the race detector: the rendezvous router's
 # distribution and K/N-stability bounds, session parity through 1..N
@@ -72,13 +72,13 @@ chaos-ingest:
 # byte-identical to the single-replica control after healing), graceful
 # leave, reload/rollback fanned out mid-stream, the shared fake clock
 # aging replica sessions and router pins together, the seeded
-# replica-death/latency hook, and the churn workload's mixed
-# create/advance/abandon/evict phases. The fleet suite runs at
-# GOMAXPROCS 1 and 2, like the ingest suite.
+# replica-death/latency hook (under make chaos, with the rest of the
+# faults package), and the churn workload's mixed
+# create/advance/abandon/evict phases. Both lines run at GOMAXPROCS 1
+# and 2, like the ingest suite.
 chaos-fleet:
 	$(GO) test -race -cpu 1,2 ./internal/fleet/...
-	$(GO) test -race -run 'FleetHook' ./internal/faults/...
-	$(GO) test -race -run 'Churn' ./internal/loadgen/...
+	$(GO) test -race -cpu 1,2 -run 'Churn' ./internal/loadgen/...
 
 # End-to-end serving parity under the race detector: every algorithm is
 # trained on three synthetic datasets (one multivariate), persisted,
@@ -86,9 +86,10 @@ chaos-fleet:
 # decisions over both the one-shot and streaming session endpoints.
 # The observability suites ride along: trace round-trips, the /v1/stats
 # snapshot math, /metrics, the dashboard, and client↔journal correlation.
+# Both lines run at GOMAXPROCS 1 and 2.
 serve-smoke:
-	$(GO) test -race -run 'ServeSmoke|Trace|Stats|Metrics|Dashboard|Eviction|MetaRoutes' ./internal/serve/...
-	$(GO) test -race -run 'Run|Correlate' ./internal/loadgen/...
+	$(GO) test -race -cpu 1,2 -run 'ServeSmoke|Trace|Stats|Metrics|Dashboard|Eviction|MetaRoutes' ./internal/serve/...
+	$(GO) test -race -cpu 1,2 -run 'Run|Correlate' ./internal/loadgen/...
 
 # Differential fuzzing at the JSON trust boundary: each hand-scanned
 # request decoder (package wire's canonical subset) runs against the

@@ -72,7 +72,6 @@ func main() {
 	// The in-process registry: the same versioned model store etsc-serve
 	// uses, so retrain swaps follow the identical hot-reload path.
 	srv := serve.New(serve.Config{Obs: col})
-	defer srv.Close()
 	name, err := srv.LoadFile(*modelFile)
 	if err != nil {
 		failWith(obsCleanup, err)

@@ -49,9 +49,6 @@ func main() {
 		maxSessions   = flag.Int("max-sessions", 0, "live streaming session bound per replica (0 = default 4096)")
 		sloTarget     = flag.Duration("slo-target", 25*time.Millisecond, "per-endpoint latency objective evaluated over rolling windows")
 		sloObjective  = flag.Float64("slo-objective", 0.99, "fraction of requests that must complete under -slo-target")
-		coalesceWin   = flag.Duration("coalesce-window", 0, "batch concurrent /v1/classify requests per model for this long (0 disables); only models with batched classifiers coalesce")
-		coalesceMax   = flag.Int("coalesce-max", 16, "maximum requests per coalesced batch")
-		float32Mode   = flag.Bool("float32", false, "serve models with float32-capable kernels in low precision (faster, not bit-identical to offline)")
 		pprofMux      = flag.Bool("pprof", false, "serve /debug/pprof on the main listener (outside the request deadline)")
 		reloadAPI     = flag.Bool("reload-api", false, "enable POST /v1/models/{name}/reload and /rollback (hot swap under traffic)")
 		tenantRPS     = flag.Float64("tenant-rps", 0, "per-tenant request rate limit (tokens/s; 0 disables tenant quotas)")
@@ -107,9 +104,6 @@ func main() {
 		MaxSessions:       *maxSessions,
 		SLOTarget:         *sloTarget,
 		SLOObjective:      *sloObjective,
-		CoalesceWindow:    *coalesceWin,
-		CoalesceMax:       *coalesceMax,
-		Float32:           *float32Mode,
 		ReloadAPI:         *reloadAPI,
 		TenantRPS:         *tenantRPS,
 		TenantBurst:       *tenantBurst,
@@ -151,7 +145,6 @@ func main() {
 		})
 		for i := 0; i < n; i++ {
 			srv := serve.New(cfg)
-			defer srv.Close()
 			loadModels(srv, *models, obsCleanup)
 			replicas = append(replicas, srv)
 			router.Add(fleet.NewLocal(fmt.Sprintf("r%d", i), srv))
@@ -162,7 +155,6 @@ func main() {
 		handler = router.Handler()
 	} else {
 		srv := serve.New(cfg)
-		defer srv.Close()
 		loadModels(srv, *models, obsCleanup)
 		replicas = append(replicas, srv)
 		handler = srv.Handler()

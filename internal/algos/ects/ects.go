@@ -67,15 +67,6 @@ func (c *Classifier) getScan() *knn.PrefixScan {
 	return c.searcher.NewPrefixScan()
 }
 
-// SetFloat32 switches the underlying distance kernels to the opt-in
-// float32 serving path (or back). Float64 results are untouched while
-// off, and toggling rebuilds nothing but the searcher's mirrors.
-func (c *Classifier) SetFloat32(on bool) {
-	if c.searcher != nil {
-		c.searcher.SetFloat32(on)
-	}
-}
-
 // New returns an untrained ECTS classifier.
 func New(cfg Config) *Classifier { return &Classifier{Cfg: cfg} }
 

@@ -15,7 +15,7 @@ var _ core.IncrementalClassifier = (*Classifier)(nil)
 // sliding-window Fourier work is shared across all S pipelines via one
 // PrefixCache — and replays the two-tier accept/consistency machine as
 // checkpoints come into coverage. It returns nil when any pipeline
-// cannot be evaluated incrementally (e.g. whole-series z-normalization),
+// cannot be evaluated incrementally (see weasel.NewPrefixEvaluator),
 // leaving those configurations to the generic fallback cursor.
 func (c *Classifier) Begin(in ts.Instance) core.Cursor {
 	if len(c.pipelines) == 0 || len(in.Values) != 1 {

@@ -7,8 +7,7 @@
 // prefixes, with v ∈ {1..5} grid-searched on the training harmonic mean.
 //
 // As in the paper's evaluation (Section 6.1), the z-normalization of the
-// original TEASER is disabled by default — it is unrealistic in a streaming
-// setting — and can be re-enabled through the WEASEL configuration.
+// original TEASER is left out — it is unrealistic in a streaming setting.
 //
 // Table 4 parameters: S = 20 for UCR datasets, S = 10 for the Biological
 // and Maritime datasets.
@@ -44,8 +43,8 @@ type Config struct {
 	// benchmarks to quantify the filter's contribution, which the paper
 	// credits for TEASER's edge over plain S-WEASEL.
 	DisableFilter bool
-	// Weasel configures the base pipelines (z-normalization stays off by
-	// default, the paper's variant).
+	// Weasel configures the base pipelines (no z-normalization, the
+	// paper's variant).
 	Weasel weasel.Config
 	// Seed drives the base pipelines.
 	Seed int64

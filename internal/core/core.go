@@ -51,36 +51,6 @@ type BatchClassifier interface {
 	ClassifyBatch(instances []ts.Instance, labels, consumed []int)
 }
 
-// Float32Switchable is implemented by classifiers whose inference
-// kernels can run in float32 — the opt-in low-precision serving mode.
-// SetFloat32(true) switches subsequent classifications to float32
-// accumulation; SetFloat32(false) restores the float64 kernels bit for
-// bit. Training state is never touched.
-type Float32Switchable interface {
-	SetFloat32(on bool)
-}
-
-// EnableFloat32 switches a classifier — unwrapping the Voting wrapper to
-// reach its per-variable voters — to float32 inference kernels (or back
-// to float64). It reports whether any component switched; algorithms
-// without float32 kernels are left untouched.
-func EnableFloat32(algo EarlyClassifier, on bool) bool {
-	if v, ok := algo.(*Voting); ok {
-		switched := false
-		for _, voter := range v.voters {
-			if voter != nil && EnableFloat32(voter, on) {
-				switched = true
-			}
-		}
-		return switched
-	}
-	if fs, ok := algo.(Float32Switchable); ok {
-		fs.SetFloat32(on)
-		return true
-	}
-	return false
-}
-
 // Stoppable marks algorithms whose Fit can be aborted cooperatively. The
 // evaluation runner calls Stop when a training budget expires so that the
 // abandoned goroutine stops consuming CPU (goroutines cannot be killed);

@@ -110,7 +110,10 @@ type Router struct {
 	deaths   atomic.Uint64 // replicas marked down
 	draining atomic.Bool
 
-	stats *fleetStats
+	// start and routes back /v1/stats: the router's own windows measure
+	// routed (client-visible) latency per route.
+	start  time.Time
+	routes *serve.RouteWindows
 
 	healsProm  *obs.Counter
 	deathsProm *obs.Counter
@@ -123,11 +126,12 @@ func New(cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	reg := cfg.Obs.Registry()
 	rt := &Router{
-		cfg:   cfg,
-		reg:   reg,
-		down:  map[string]string{},
-		pins:  map[string]*pin{},
-		stats: newFleetStats(cfg.SLOTarget, cfg.SLOObjective),
+		cfg:    cfg,
+		reg:    reg,
+		down:   map[string]string{},
+		pins:   map[string]*pin{},
+		start:  time.Now(),
+		routes: serve.NewRouteWindows(cfg.SLOTarget, cfg.SLOObjective),
 	}
 	rt.healsProm = reg.Counter("etsc_fleet_heals_total",
 		"Session rebuilds: the replay log re-created a session on a new owner.")
@@ -502,9 +506,9 @@ func (rt *Router) wrap(route string, work bool, h func(http.ResponseWriter, *htt
 	reqs := rt.reg.Counter("etsc_fleet_requests_total",
 		"Requests entering the fleet router, by route.",
 		obs.Label{Key: "route", Value: route})
-	var rs *routeWindows
+	var rs *serve.RouteStats
 	if work {
-		rs = rt.stats.route(route)
+		rs = rt.routes.Route(route)
 	}
 	journal := rt.cfg.Obs.Journal() != nil
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -533,7 +537,7 @@ func (rt *Router) wrap(route string, work bool, h func(http.ResponseWriter, *htt
 		}
 		wall := time.Since(start)
 		if rs != nil {
-			rs.observe(wall, sw.Status())
+			rs.Observe(wall, sw.Status())
 		}
 		if journal {
 			fields := map[string]any{
@@ -625,8 +629,7 @@ func readBody(r *http.Request) ([]byte, error) {
 }
 
 // handleClassify load-balances one-shot requests round-robin: they
-// carry no cursor state, so any replica answers correctly, and each
-// replica's own coalescer still batches the requests it receives.
+// carry no cursor state, so any replica answers correctly.
 func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request, fi *fleetInfo) error {
 	body, err := readBody(r)
 	if err != nil {

@@ -4,11 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
-	"strconv"
-	"sync"
 	"time"
 
-	"github.com/goetsc/goetsc/internal/obs"
 	"github.com/goetsc/goetsc/internal/serve"
 )
 
@@ -17,87 +14,6 @@ import (
 // aggregated — the router's own rolling windows measure the routed
 // (client-visible) latency per route, and each replica's full snapshot
 // rides along verbatim so per-replica drill-down needs no extra scrape.
-
-// fleetStats holds the router's per-route latency windows + SLOs,
-// built on the same obs machinery the replicas use.
-type fleetStats struct {
-	start        time.Time
-	sloTarget    time.Duration
-	sloObjective float64
-
-	mu     sync.Mutex
-	routes map[string]*routeWindows
-}
-
-type routeWindows struct {
-	win *obs.Window
-	slo *obs.SLO
-}
-
-func newFleetStats(sloTarget time.Duration, sloObjective float64) *fleetStats {
-	return &fleetStats{
-		start:        time.Now(),
-		sloTarget:    sloTarget,
-		sloObjective: sloObjective,
-		routes:       map[string]*routeWindows{},
-	}
-}
-
-func statsMaxSpan() time.Duration { return obs.StatsSpans[len(obs.StatsSpans)-1] }
-
-func (st *fleetStats) route(name string) *routeWindows {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	rs, ok := st.routes[name]
-	if !ok {
-		rs = &routeWindows{
-			win: obs.NewWindow(obs.ServeBuckets, time.Second, statsMaxSpan()),
-			slo: obs.NewSLO(st.sloTarget, st.sloObjective, time.Second, statsMaxSpan()),
-		}
-		st.routes[name] = rs
-	}
-	return rs
-}
-
-func (rs *routeWindows) observe(d time.Duration, status int) {
-	rs.win.Observe(d.Seconds())
-	rs.slo.Observe(d, status >= 500)
-}
-
-// spanName renders a window span compactly ("10s", "1m", "5m"),
-// matching the replicas' own stats keys.
-func spanName(d time.Duration) string {
-	if d%time.Minute == 0 {
-		return strconv.Itoa(int(d/time.Minute)) + "m"
-	}
-	return strconv.Itoa(int(d/time.Second)) + "s"
-}
-
-// endpoints renders every route's windows keyed by span, in the same
-// shape serve.EndpointStats uses.
-func (st *fleetStats) endpoints() map[string]serve.EndpointStats {
-	st.mu.Lock()
-	routes := make(map[string]*routeWindows, len(st.routes))
-	for k, v := range st.routes {
-		routes[k] = v
-	}
-	st.mu.Unlock()
-	out := map[string]serve.EndpointStats{}
-	for name, rs := range routes {
-		es := serve.EndpointStats{Windows: map[string]serve.WindowJSON{}, SLO: map[string]obs.SLOReport{}}
-		for _, span := range obs.StatsSpans {
-			key := spanName(span)
-			ws := rs.win.Snapshot(span)
-			es.Windows[key] = serve.WindowJSON{
-				Count: ws.Count, RatePerS: ws.Rate,
-				MeanMs: ws.Mean * 1e3, P50Ms: ws.P50 * 1e3, P95Ms: ws.P95 * 1e3, P99Ms: ws.P99 * 1e3,
-			}
-			es.SLO[key] = rs.slo.Report(span)
-		}
-		out[name] = es
-	}
-	return out
-}
 
 // ReplicaStatus is one replica's slice of an aggregated document.
 type ReplicaStatus struct {
@@ -172,14 +88,14 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request, _ *fleetIn
 	reps := rt.live()
 	snap := FleetSnapshot{
 		Now:           time.Now(),
-		UptimeS:       time.Since(rt.stats.start).Seconds(),
+		UptimeS:       time.Since(rt.start).Seconds(),
 		Down:          rt.downList(),
 		Remaps:        rt.remaps.Load(),
 		Heals:         rt.heals.Load(),
 		ReplicaDeaths: rt.deaths.Load(),
 		Draining:      rt.draining.Load(),
 		SLOTarget:     rt.cfg.SLOTarget.String(),
-		Endpoints:     rt.stats.endpoints(),
+		Endpoints:     rt.routes.Endpoints(),
 		PerReplica:    map[string]ReplicaStatus{},
 	}
 	rt.mu.RLock()

@@ -7,9 +7,6 @@ package knn
 import (
 	"fmt"
 	"math"
-	"sync"
-
-	"github.com/goetsc/goetsc/internal/linalg"
 )
 
 // Searcher answers nearest-neighbour queries over a set of stored
@@ -31,13 +28,6 @@ type Searcher struct {
 	starts  []int     // len(series)+1 row offsets into flat
 	rectLen int       // common series length; 0 when lengths are ragged
 	cols    []float64 // time-major transpose cols[t*n+i]; rect only
-
-	// Opt-in float32 mirrors for the low-precision serving path; built
-	// lazily by SetFloat32 and never touched otherwise.
-	f32    bool
-	flat32 []float32
-	cols32 []float32
-	qpool  sync.Pool // *[]float32 query conversion scratch
 }
 
 // NewSearcher stores the given series (not copied) and their labels.
@@ -83,31 +73,6 @@ func (s *Searcher) Len() int { return len(s.series) }
 // Label returns the label of stored series i.
 func (s *Searcher) Label(i int) int { return s.labels[i] }
 
-// SetFloat32 switches distance accumulation to float32 (on=true) or back
-// to float64. The float32 mirrors of the training matrix are built on
-// first enable. Nearest and any PrefixScan created afterwards use the
-// same precision, so incremental sweeps keep reproducing the one-shot
-// winner; switching while cursors built on this searcher are live is
-// undefined. Float64 results are untouched by the switch itself.
-func (s *Searcher) SetFloat32(on bool) {
-	if on && s.flat32 == nil {
-		s.flat32 = make([]float32, len(s.flat))
-		for i, v := range s.flat {
-			s.flat32[i] = float32(v)
-		}
-		if s.rectLen > 0 {
-			s.cols32 = make([]float32, len(s.cols))
-			for i, v := range s.cols {
-				s.cols32[i] = float32(v)
-			}
-		}
-	}
-	s.f32 = on
-}
-
-// Float32 reports whether float32 distance accumulation is enabled.
-func (s *Searcher) Float32() bool { return s.f32 }
-
 // Nearest returns the index of the stored series closest to query in
 // Euclidean distance over the first min(len(query), prefix, len(stored))
 // time points, along with the distance. Ties resolve to the lower index.
@@ -121,9 +86,6 @@ func (s *Searcher) Float32() bool { return s.f32 }
 func (s *Searcher) Nearest(query []float64, prefix int) (int, float64) {
 	if prefix > len(query) || prefix <= 0 {
 		prefix = len(query)
-	}
-	if s.f32 {
-		return s.nearestF32(query, prefix)
 	}
 	q := query[:prefix]
 	best, bestDist := -1, math.Inf(1)
@@ -163,33 +125,6 @@ func (s *Searcher) Nearest(query []float64, prefix int) (int, float64) {
 // between early-abandon checks, matching linalg's blocked kernels.
 const abandonBlock = 8
 
-// nearestF32 is Nearest with float32 accumulation over the float32
-// mirror: the query prefix is rounded once into pooled scratch, then
-// scanned with the same exact blocked abandon.
-func (s *Searcher) nearestF32(query []float64, prefix int) (int, float64) {
-	qp, _ := s.qpool.Get().(*[]float32)
-	if qp == nil {
-		qp = new([]float32)
-	}
-	q := (*qp)[:0]
-	for _, v := range query[:prefix] {
-		q = append(q, float32(v))
-	}
-	*qp = q
-	best := -1
-	bestDist := float32(math.Inf(1))
-	flat, starts := s.flat32, s.starts
-	for i := 0; i < len(starts)-1; i++ {
-		row := flat[starts[i]:starts[i+1]]
-		sum := linalg.SqDistBoundedF32(q, row, bestDist)
-		if sum < bestDist {
-			best, bestDist = i, sum
-		}
-	}
-	s.qpool.Put(qp)
-	return best, math.Sqrt(float64(bestDist))
-}
-
 // NearestBatch answers Nearest for a batch of queries at one prefix,
 // writing winners and distances into the provided slices (allocated when
 // nil or too short) and returning them. Each query's result is exactly
@@ -224,39 +159,22 @@ func (s *Searcher) NearestBatch(queries [][]float64, prefix int, idx []int, dist
 // The per-series addition sequence is unchanged, so the sums — and the
 // winner — are bit-identical to the slice-of-slices sweep.
 type PrefixScan struct {
-	s      *Searcher
-	sums   []float64
-	sums32 []float32 // used instead of sums when the searcher is float32
-	t      int
+	s    *Searcher
+	sums []float64
+	t    int
 }
 
-// NewPrefixScan starts a sweep at prefix length zero, in the searcher's
-// current precision.
+// NewPrefixScan starts a sweep at prefix length zero.
 func (s *Searcher) NewPrefixScan() *PrefixScan {
-	p := &PrefixScan{s: s}
-	if s.f32 {
-		p.sums32 = make([]float32, len(s.series))
-	} else {
-		p.sums = make([]float64, len(s.series))
-	}
-	return p
+	return &PrefixScan{s: s, sums: make([]float64, len(s.series))}
 }
 
 // Reset rewinds the scan to prefix length zero so one allocation can
 // serve many queries (the zero-alloc classify path pools these).
 func (p *PrefixScan) Reset() {
 	p.t = 0
-	if p.s.f32 && p.sums32 == nil {
-		p.sums32 = make([]float32, len(p.s.series))
-	}
-	if !p.s.f32 && p.sums == nil {
-		p.sums = make([]float64, len(p.s.series))
-	}
 	for i := range p.sums {
 		p.sums[i] = 0
-	}
-	for i := range p.sums32 {
-		p.sums32[i] = 0
 	}
 }
 
@@ -269,10 +187,6 @@ func (p *PrefixScan) Prefix() int { return p.t }
 func (p *PrefixScan) Extend(query []float64, upto int) {
 	if upto > len(query) {
 		upto = len(query)
-	}
-	if p.s.f32 {
-		p.extendF32(query, upto)
-		return
 	}
 	if n := len(p.s.series); p.s.rectLen > 0 {
 		cols, L := p.s.cols, p.s.rectLen
@@ -301,39 +215,6 @@ func (p *PrefixScan) Extend(query []float64, upto int) {
 	}
 }
 
-// extendF32 accumulates in float32 over the float32 transpose (or the
-// row mirror when the stored series are ragged), the same time-order
-// additions nearestF32 performs — so Best reproduces its winner.
-func (p *PrefixScan) extendF32(query []float64, upto int) {
-	if n := len(p.s.series); p.s.rectLen > 0 {
-		cols, L := p.s.cols32, p.s.rectLen
-		for ; p.t < upto; p.t++ {
-			if p.t >= L {
-				continue
-			}
-			q := float32(query[p.t])
-			col := cols[p.t*n : (p.t+1)*n]
-			sums := p.sums32[:len(col)]
-			for i, cv := range col {
-				d := q - cv
-				sums[i] += d * d
-			}
-		}
-		return
-	}
-	flat, starts := p.s.flat32, p.s.starts
-	for ; p.t < upto; p.t++ {
-		q := float32(query[p.t])
-		for i := 0; i < len(starts)-1; i++ {
-			row := flat[starts[i]:starts[i+1]]
-			if p.t < len(row) {
-				d := q - row[p.t]
-				p.sums32[i] += d * d
-			}
-		}
-	}
-}
-
 // ExtendBest accumulates like Extend and returns Best, fusing the argmin
 // scan of the final time step into the accumulation pass so the sums
 // array is walked once instead of twice per step — the inner loop of
@@ -343,9 +224,6 @@ func (p *PrefixScan) extendF32(query []float64, upto int) {
 func (p *PrefixScan) ExtendBest(query []float64, upto int) int {
 	if upto > len(query) {
 		upto = len(query)
-	}
-	if p.s.f32 {
-		return p.extendBestF32(query, upto)
 	}
 	if p.t >= upto || p.s.rectLen == 0 || upto-1 >= p.s.rectLen {
 		// No fresh contribution on the final step (or ragged storage):
@@ -371,44 +249,10 @@ func (p *PrefixScan) ExtendBest(query []float64, upto int) int {
 	return best
 }
 
-func (p *PrefixScan) extendBestF32(query []float64, upto int) int {
-	if p.t >= upto || p.s.rectLen == 0 || upto-1 >= p.s.rectLen {
-		p.extendF32(query, upto)
-		return p.Best()
-	}
-	n := len(p.s.series)
-	p.extendF32(query, upto-1)
-	q := float32(query[upto-1])
-	col := p.s.cols32[(upto-1)*n : upto*n]
-	sums := p.sums32[:len(col)]
-	best := -1
-	bestSum := float32(math.Inf(1))
-	for i, cv := range col {
-		d := q - cv
-		sum := sums[i] + d*d
-		sums[i] = sum
-		if sum < bestSum {
-			best, bestSum = i, sum
-		}
-	}
-	p.t = upto
-	return best
-}
-
 // Best returns the index of the nearest stored series at the current
 // prefix, with ties resolving to the lower index — exactly the winner
 // Nearest(query[:Prefix()], Prefix()) would report.
 func (p *PrefixScan) Best() int {
-	if p.s.f32 {
-		best := -1
-		bestSum := float32(math.Inf(1))
-		for i, sum := range p.sums32 {
-			if sum < bestSum {
-				best, bestSum = i, sum
-			}
-		}
-		return best
-	}
 	best, bestSum := -1, math.Inf(1)
 	for i, sum := range p.sums {
 		if sum < bestSum {

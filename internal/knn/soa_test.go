@@ -161,8 +161,7 @@ func TestPrefixScanReset(t *testing.T) {
 
 // TestExtendBestMatchesExtendThenBest checks the fused accumulate+argmin
 // pass reproduces Extend followed by Best at every prefix, across
-// multi-point jumps, ragged storage, prefixes past the stored length,
-// and both precisions.
+// multi-point jumps, ragged storage and prefixes past the stored length.
 func TestExtendBestMatchesExtendThenBest(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	base := randomSearcher(rng, 25, 40)
@@ -172,9 +171,7 @@ func TestExtendBestMatchesExtendThenBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f32 := randomSearcher(rng, 25, 40)
-	f32.SetFloat32(true)
-	for _, s := range []*Searcher{base, s2, f32} {
+	for _, s := range []*Searcher{base, s2} {
 		query := make([]float64, 48)
 		for i := range query {
 			query[i] = rng.NormFloat64()
@@ -193,66 +190,6 @@ func TestExtendBestMatchesExtendThenBest(t *testing.T) {
 			}
 			step = 1 + rng.Intn(3)
 		}
-	}
-}
-
-// nearestExhaustiveF32 is the float32 reference: exhaustive scan with
-// float32 accumulation in time order.
-func nearestExhaustiveF32(s *Searcher, query []float64, prefix int) int {
-	best := -1
-	bestDist := float32(math.Inf(1))
-	for i, ser := range s.series {
-		n := prefix
-		if len(ser) < n {
-			n = len(ser)
-		}
-		var sum float32
-		for t := 0; t < n; t++ {
-			d := float32(query[t]) - float32(ser[t])
-			sum += d * d
-		}
-		if sum < bestDist {
-			best, bestDist = i, sum
-		}
-	}
-	return best
-}
-
-// TestFloat32NearestMatchesExhaustive checks the float32 blocked abandon
-// and the float32 prefix scan both reproduce the exhaustive float32
-// winner — the property that keeps cursor and classify consistent in
-// low-precision serving mode.
-func TestFloat32NearestMatchesExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	s := randomSearcher(rng, 40, 57)
-	s.SetFloat32(true)
-	if !s.Float32() {
-		t.Fatal("Float32() = false after enable")
-	}
-	query := make([]float64, 57)
-	for trial := 0; trial < 30; trial++ {
-		for i := range query {
-			query[i] = rng.NormFloat64()
-		}
-		ps := s.NewPrefixScan()
-		for _, prefix := range []int{1, 7, 8, 9, 31, 57} {
-			want := nearestExhaustiveF32(s, query, prefix)
-			got, _ := s.Nearest(query, prefix)
-			if got != want {
-				t.Fatalf("trial %d prefix %d: f32 Nearest %d, exhaustive %d", trial, prefix, got, want)
-			}
-			ps.Extend(query, prefix)
-			if got := ps.Best(); got != want {
-				t.Fatalf("trial %d prefix %d: f32 Best %d, exhaustive %d", trial, prefix, got, want)
-			}
-		}
-	}
-	// Switching back restores the float64 path bit for bit.
-	s.SetFloat32(false)
-	gi, gd := s.Nearest(query, 57)
-	wi, wd := nearestExhaustive(s, query, 57)
-	if gi != wi || gd != wd {
-		t.Fatalf("after disable: (%d,%v) vs (%d,%v)", gi, gd, wi, wd)
 	}
 }
 
@@ -287,15 +224,6 @@ func BenchmarkNearestSlices(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nearestSlices(s, query, len(query))
-	}
-}
-
-func BenchmarkNearestF32(b *testing.B) {
-	s, query := benchSetup(b)
-	s.SetFloat32(true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Nearest(query, len(query))
 	}
 }
 

@@ -5,9 +5,7 @@ package linalg
 // are re-sliced to one common length up front so the compiler can prove
 // the per-element accesses in range, and accumulation stays in strict
 // index order so results are bit-identical to the textbook loops they
-// replace. The float32 variants back the opt-in low-precision serving
-// path; they are never used unless a caller explicitly switches a model
-// to float32, so offline float64 results stay byte-identical.
+// replace.
 
 // SumSq returns the sum of squares of a, accumulated in index order.
 func SumSq(a []float64) float64 {
@@ -82,63 +80,4 @@ func Axpy(alpha float64, x, y []float64) {
 	for i, xv := range x {
 		y[i] += alpha * xv
 	}
-}
-
-// DotF32 returns the float32 dot product of a and b over their common
-// length, accumulated in float32 in index order.
-func DotF32(a, b []float32) float32 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	a, b = a[:n], b[:n]
-	var sum float32
-	for i, av := range a {
-		sum += av * b[i]
-	}
-	return sum
-}
-
-// SqDistF32 returns the float32 squared distance between a and b over
-// their common length, accumulated in float32 in index order.
-func SqDistF32(a, b []float32) float32 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	a, b = a[:n], b[:n]
-	var sum float32
-	for i, av := range a {
-		d := av - b[i]
-		sum += d * d
-	}
-	return sum
-}
-
-// SqDistBoundedF32 is SqDistBounded in float32: squared differences are
-// added in index order with an exact early abandon every sqDistBlock
-// elements. Float32 additions of non-negative terms are monotone under
-// round-to-nearest, so the abandon preserves the exhaustive float32
-// winner just as the float64 version preserves the float64 one.
-func SqDistBoundedF32(a, b []float32, bound float32) float32 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	a, b = a[:n], b[:n]
-	var sum float32
-	for t := 0; t < n; {
-		end := t + sqDistBlock
-		if end > n {
-			end = n
-		}
-		for ; t < end; t++ {
-			d := a[t] - b[t]
-			sum += d * d
-		}
-		if sum >= bound {
-			break
-		}
-	}
-	return sum
 }

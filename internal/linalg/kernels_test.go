@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -98,33 +97,6 @@ func TestSumSqAndAxpy(t *testing.T) {
 	}
 }
 
-func TestFloat32KernelsMatchFloat32Naive(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, n := range []int{0, 1, 5, 8, 33, 257} {
-		a64, b64 := randSlice(rng, n), randSlice(rng, n)
-		a := make([]float32, n)
-		b := make([]float32, n)
-		for i := range a64 {
-			a[i], b[i] = float32(a64[i]), float32(b64[i])
-		}
-		var dot, sq float32
-		for i := 0; i < n; i++ {
-			dot += a[i] * b[i]
-			d := a[i] - b[i]
-			sq += d * d
-		}
-		if got := DotF32(a, b); got != dot {
-			t.Fatalf("n=%d: DotF32=%v want %v", n, got, dot)
-		}
-		if got := SqDistF32(a, b); got != sq {
-			t.Fatalf("n=%d: SqDistF32=%v want %v", n, got, sq)
-		}
-		if got := SqDistBoundedF32(a, b, math.MaxFloat32); got != sq {
-			t.Fatalf("n=%d: SqDistBoundedF32=%v want %v", n, got, sq)
-		}
-	}
-}
-
 func BenchmarkSqDist(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	x, y := randSlice(rng, 400), randSlice(rng, 400)
@@ -132,22 +104,6 @@ func BenchmarkSqDist(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += SqDist(x, y)
-	}
-	_ = sink
-}
-
-func BenchmarkSqDistF32(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	x64, y64 := randSlice(rng, 400), randSlice(rng, 400)
-	x := make([]float32, len(x64))
-	y := make([]float32, len(y64))
-	for i := range x64 {
-		x[i], y[i] = float32(x64[i]), float32(y64[i])
-	}
-	b.ReportAllocs()
-	var sink float32
-	for i := 0; i < b.N; i++ {
-		sink += SqDistF32(x, y)
 	}
 	_ = sink
 }

@@ -29,7 +29,7 @@ func TestTransformIntoZeroAlloc(t *testing.T) {
 
 // TestTransformBatchIntoReusesRows pins the batch contract: rows and
 // their backing arrays survive a second TransformBatchInto untouched, so
-// a fold loop or a serving batcher reuses one arena across calls.
+// a fold loop reuses one arena across calls.
 func TestTransformBatchIntoReusesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	train, trainY := sineInstances(rng, 20, 64)

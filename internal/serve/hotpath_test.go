@@ -3,17 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/goetsc/goetsc/internal/persist"
 	"github.com/goetsc/goetsc/internal/testenv"
-	ts "github.com/goetsc/goetsc/internal/timeseries"
 )
 
 // encode is the reference renderer: exactly what writeJSON produced
@@ -138,167 +132,5 @@ func TestSessionStateRenderZeroAlloc(t *testing.T) {
 	render()
 	if allocs := testing.AllocsPerRun(200, render); allocs != 0 {
 		t.Fatalf("session state render allocates %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// batchAlgo is a fake coalescible classifier that records flush sizes.
-type batchAlgo struct {
-	mu      sync.Mutex
-	batches []int
-}
-
-func (b *batchAlgo) Name() string          { return "fake-batch" }
-func (b *batchAlgo) Fit(*ts.Dataset) error { return nil }
-func (b *batchAlgo) Classify(in ts.Instance) (int, int) {
-	return 1, len(in.Values[0])
-}
-
-func (b *batchAlgo) ClassifyBatch(instances []ts.Instance, labels, consumed []int) {
-	b.mu.Lock()
-	b.batches = append(b.batches, len(instances))
-	b.mu.Unlock()
-	for i, in := range instances {
-		labels[i], consumed[i] = 1, len(in.Values[0])
-	}
-}
-
-func newBatchServer(t *testing.T, cfg Config) (*Server, *batchAlgo, *httptest.Server) {
-	t.Helper()
-	algo := &batchAlgo{}
-	s := New(cfg)
-	if err := s.AddModel("batch", algo, persist.Meta{Length: 8, NumVars: 1}); err != nil {
-		t.Fatalf("add model: %v", err)
-	}
-	t.Cleanup(s.Close)
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
-	return s, algo, hs
-}
-
-func TestCoalescedClassify(t *testing.T) {
-	_, algo, hs := newBatchServer(t, Config{CoalesceWindow: 100 * time.Millisecond, CoalesceMax: 4})
-	const reqs = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, reqs)
-	for i := 0; i < reqs; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body := bytes.NewReader([]byte(`{"model":"batch","values":[[1,2,3,4]]}`))
-			resp, err := http.Post(hs.URL+"/v1/classify", "application/json", body)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer resp.Body.Close()
-			raw, _ := io.ReadAll(resp.Body)
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("status %d: %s", resp.StatusCode, raw)
-				return
-			}
-			var got struct {
-				Label    int  `json:"label"`
-				Consumed int  `json:"consumed"`
-				Final    bool `json:"final"`
-			}
-			if err := json.Unmarshal(raw, &got); err != nil {
-				errs <- fmt.Errorf("decode %q: %v", raw, err)
-				return
-			}
-			if got.Label != 1 || got.Consumed != 4 || !got.Final {
-				errs <- fmt.Errorf("got %+v, want label 1 consumed 4 final", got)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	algo.mu.Lock()
-	defer algo.mu.Unlock()
-	total, maxBatch := 0, 0
-	for _, b := range algo.batches {
-		total += b
-		if b > maxBatch {
-			maxBatch = b
-		}
-		if b > 4 {
-			t.Errorf("batch of %d exceeds CoalesceMax 4", b)
-		}
-	}
-	if total != reqs {
-		t.Fatalf("batches classified %d requests, want %d (batches: %v)", total, reqs, algo.batches)
-	}
-	if maxBatch < 2 {
-		t.Errorf("no coalescing happened inside a 100ms window: batches %v", algo.batches)
-	}
-}
-
-func TestServerCloseFlushesAndRejects(t *testing.T) {
-	s, _, hs := newBatchServer(t, Config{CoalesceWindow: time.Minute, CoalesceMax: 64})
-	done := make(chan error, 1)
-	go func() {
-		body := bytes.NewReader([]byte(`{"model":"batch","values":[[1,2,3]]}`))
-		resp, err := http.Post(hs.URL+"/v1/classify", "application/json", body)
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("status %d", resp.StatusCode)
-			}
-		}
-		done <- err
-	}()
-	// Wait until the job is queued (the batcher would otherwise hold it
-	// for the full one-minute window), then close: Close must flush it.
-	m, _ := s.lookup("batch")
-	deadline := time.Now().Add(5 * time.Second)
-	for m.coalesce.queued.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if m.coalesce.queued.Load() == 0 {
-		t.Fatal("request never reached the batcher")
-	}
-	s.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("flushed request failed: %v", err)
-	}
-	s.Close() // idempotent
-
-	body := bytes.NewReader([]byte(`{"model":"batch","values":[[1,2,3]]}`))
-	resp, err := http.Post(hs.URL+"/v1/classify", "application/json", body)
-	if err != nil {
-		t.Fatalf("post after close: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("classify after Close = %d, want 503", resp.StatusCode)
-	}
-}
-
-// f32Algo records whether the server flipped it to float32 serving.
-type f32Algo struct {
-	batchAlgo
-	f32 bool
-}
-
-func (f *f32Algo) SetFloat32(on bool) { f.f32 = on }
-
-func TestFloat32Config(t *testing.T) {
-	algo := &f32Algo{}
-	s := New(Config{Float32: true})
-	if err := s.AddModel("m", algo, persist.Meta{NumVars: 1}); err != nil {
-		t.Fatalf("add model: %v", err)
-	}
-	if !algo.f32 {
-		t.Fatal("Config.Float32 did not switch the model to float32 kernels")
-	}
-	s2 := New(Config{})
-	algo2 := &f32Algo{}
-	if err := s2.AddModel("m", algo2, persist.Meta{NumVars: 1}); err != nil {
-		t.Fatalf("add model: %v", err)
-	}
-	if algo2.f32 {
-		t.Fatal("float32 kernels enabled without Config.Float32")
 	}
 }

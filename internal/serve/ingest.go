@@ -78,7 +78,6 @@ func (s *Server) SwapModel(name string, algo core.EarlyClassifier, meta persist.
 	defer e.ctl.Unlock()
 	old := e.cur.Load()
 	next := s.newModel(name, algo, meta, old.info.Version+1, 0, e.stats)
-	retired := e.prev
 	e.prev = old
 	e.cur.Store(next)
 	e.reloads.Add(1)
@@ -90,8 +89,5 @@ func (s *Server) SwapModel(name string, algo core.EarlyClassifier, meta persist.
 		"previous_version": old.info.Version, "algorithm": next.info.Algorithm,
 		"dataset": meta.Dataset, "swapped_at": time.Now().Format(time.RFC3339Nano),
 	})
-	if retired != nil && retired.coalesce != nil {
-		go retired.coalesce.stop()
-	}
 	return next.info.Version, nil
 }

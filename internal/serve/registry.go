@@ -72,13 +72,10 @@ func (s *Server) lookup(name string) (*model, bool) {
 }
 
 // newModel assembles one immutable model version (classifier + response
-// arena + optional coalescing batcher). Versions share the entry's
+// arena). Versions share the entry's
 // stats so quality telemetry is continuous across reloads.
 func (s *Server) newModel(name string, algo core.EarlyClassifier, meta persist.Meta,
 	version int, checksum uint64, stats *modelStats) *model {
-	if s.cfg.Float32 {
-		core.EnableFloat32(algo, true)
-	}
 	m := &model{
 		info: ModelInfo{
 			Name: name, Algorithm: algo.Name(), Dataset: meta.Dataset,
@@ -93,11 +90,6 @@ func (s *Server) newModel(name string, algo core.EarlyClassifier, meta persist.M
 	// Arena sizing: the largest hot response is a session state line; 96
 	// bytes covers every fixed token plus two ints, the rest is names/ids.
 	m.arenaCap = 96 + len(name) + len(m.info.Algorithm)
-	if s.cfg.CoalesceWindow > 0 {
-		if bc, ok := algo.(core.BatchClassifier); ok {
-			m.coalesce = newBatcher(m, bc, s.cfg.CoalesceWindow, s.cfg.CoalesceMax, s.sem)
-		}
-	}
 	return m
 }
 
@@ -177,7 +169,6 @@ func (s *Server) handleModelReload(w http.ResponseWriter, r *http.Request) error
 
 	old := e.cur.Load()
 	next := s.newModel(name, algo, meta, old.info.Version+1, fi.Checksum, e.stats)
-	retired := e.prev // the version falling out of the two-deep history
 	e.prev = old
 	e.source = path
 	e.cur.Store(next)
@@ -192,12 +183,6 @@ func (s *Server) handleModelReload(w http.ResponseWriter, r *http.Request) error
 		"previous_version": old.info.Version, "algorithm": next.info.Algorithm,
 		"checksum": fi.Checksum, "bytes": fi.Bytes,
 	})
-	// The retired version can still be pinned by in-flight requests and
-	// live sessions — those finish on it — but no new request can resolve
-	// it, so its batcher (if any) stops once the queue drains.
-	if retired != nil && retired.coalesce != nil {
-		go retired.coalesce.stop()
-	}
 	return writeJSON(w, http.StatusOK, reloadResponse{
 		Model: name, Algorithm: next.info.Algorithm, Version: next.info.Version,
 		PreviousVersion: old.info.Version, Checksum: checksumHex(fi.Checksum),

@@ -58,20 +58,6 @@ type Config struct {
 	// SLOObjective is the fraction of requests that must complete under
 	// SLOTarget (the rest is error budget). Default 0.99.
 	SLOObjective float64
-	// CoalesceWindow, when positive, batches concurrent one-shot
-	// /v1/classify requests per model: a request waits up to this long
-	// for companions, then the whole batch runs through one
-	// core.BatchClassifier call sharing transform scratch. Only models
-	// whose classifier implements BatchClassifier coalesce; others keep
-	// the direct path. Default 0 (off).
-	CoalesceWindow time.Duration
-	// CoalesceMax caps one coalesced batch. Default 16.
-	CoalesceMax int
-	// Float32 switches loaded models with float32-capable kernels
-	// (core.Float32Switchable) to the low-precision serving path at
-	// registration. Models without such kernels are unaffected. Default
-	// off: float64, bit-identical to offline evaluation.
-	Float32 bool
 	// ReloadAPI enables the model control plane: POST
 	// /v1/models/{name}/reload and /rollback. Off by default — hot swap
 	// is an operator surface, not a tenant one.
@@ -141,9 +127,6 @@ func (c Config) withDefaults() Config {
 	if c.SLOObjective <= 0 || c.SLOObjective >= 1 {
 		c.SLOObjective = 0.99
 	}
-	if c.CoalesceMax <= 0 {
-		c.CoalesceMax = 16
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
@@ -201,11 +184,10 @@ type ModelInfo struct {
 // path — with no batches to amortize over, cursor construction is pure
 // overhead.
 type model struct {
-	info     ModelInfo
-	algo     core.EarlyClassifier
-	stats    *modelStats // resolved once at registration: no map+mutex on the hot path
-	coalesce *batcher    // non-nil only when coalescing is on and algo batches
-	mu       sync.Mutex
+	info  ModelInfo
+	algo  core.EarlyClassifier
+	stats *modelStats // resolved once at registration: no map+mutex on the hot path
+	mu    sync.Mutex
 
 	// Version provenance, stamped when the registry built this version.
 	checksum uint64
@@ -281,8 +263,7 @@ type Server struct {
 	// reqPool recycles decoded one-shot request bodies; encoding/json
 	// reuses the retained Values capacity, so steady-state decodes stop
 	// growing fresh matrices per request.
-	reqPool   sync.Pool
-	closeOnce sync.Once
+	reqPool sync.Pool
 
 	// onSessionEvict, when set, observes TTL evictions (not client
 	// closes): the fleet router registers itself here so an evicted
@@ -368,29 +349,10 @@ func (s *Server) addModel(name string, algo core.EarlyClassifier, meta persist.M
 	return nil
 }
 
-// Close stops background work (per-model coalescing batchers), flushing
-// any queued requests first. The server must not take new requests after
-// Close; it is safe to call more than once.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		s.mu.RLock()
-		var batchers []*batcher
-		for _, e := range s.models {
-			if m := e.cur.Load(); m != nil && m.coalesce != nil {
-				batchers = append(batchers, m.coalesce)
-			}
-			e.ctl.Lock()
-			if e.prev != nil && e.prev.coalesce != nil {
-				batchers = append(batchers, e.prev.coalesce)
-			}
-			e.ctl.Unlock()
-		}
-		s.mu.RUnlock()
-		for _, b := range batchers {
-			b.stop()
-		}
-	})
-}
+// Close is a no-op kept for embedders that pair New with Close: the
+// server starts no goroutines of its own (idle-session eviction runs
+// when the caller invokes EvictIdleSessions). Safe to call repeatedly.
+func (s *Server) Close() {}
 
 // LoadFile loads one persisted model; its name is the file's base name
 // without extension. The path is remembered as the entry's source so a
@@ -526,10 +488,10 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request) e
 		obs.ServeBuckets, routeLbl)
 	tracked := !metaRoutes[route]
 	work := workRoutes[route]
-	var rs *routeStats
+	var rs *RouteStats
 	var queueHist, classifyHist *obs.Histogram
 	if tracked {
-		rs = s.stats.route(route)
+		rs = s.stats.routes.Route(route)
 		queueHist = reg.Histogram("etsc_serve_queue_wait_seconds",
 			"Wait for a classification slot, by route — queueing pressure separated from compute.",
 			obs.ServeBuckets, routeLbl)
@@ -586,7 +548,7 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request) e
 		wall := time.Since(start)
 		latHist.Observe(wall.Seconds())
 		if tracked {
-			rs.observe(wall, sw.Status())
+			rs.Observe(wall, sw.Status())
 			if ri.worked {
 				queueHist.Observe(ri.queue.Seconds())
 				classifyHist.Observe(ri.classify.Seconds())
@@ -681,36 +643,21 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) error {
 	}
 	ri := info(r)
 	ri.model = m.info.Name
-	var label, consumed int
-	var cerr error
-	if m.coalesce != nil {
-		// Coalesced path: the batcher owns queueing (the shared worker
-		// semaphore is taken once per batch), so the whole wait counts as
-		// classify time.
-		t0 := time.Now()
-		cerr = s.runClassify(m.info.Name, func() error {
-			var err error
-			label, consumed, err = m.coalesce.submit(r.Context(), req.Values)
-			return err
-		})
-		ri.classify = time.Since(t0)
-		ri.worked = true
-	} else {
-		t0 := time.Now()
-		if err := s.acquire(r); err != nil {
-			// Shed in the queue, not a model failure: no breaker record.
-			return err
-		}
-		ri.queue = time.Since(t0)
-		t1 := time.Now()
-		cerr = s.runClassify(m.info.Name, func() error {
-			label, consumed = m.classify(req.Values)
-			return nil
-		})
-		ri.classify = time.Since(t1)
-		ri.worked = true
-		s.release()
+	t0 := time.Now()
+	if err := s.acquire(r); err != nil {
+		// Shed in the queue, not a model failure: no breaker record.
+		return err
 	}
+	ri.queue = time.Since(t0)
+	var label, consumed int
+	t1 := time.Now()
+	cerr := s.runClassify(m.info.Name, func() error {
+		label, consumed = m.classify(req.Values)
+		return nil
+	})
+	ri.classify = time.Since(t1)
+	ri.worked = true
+	s.release()
 	e.breaker.record(cerr == nil)
 	if cerr != nil {
 		return cerr

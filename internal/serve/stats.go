@@ -29,20 +29,41 @@ const prefixBuckets = 10
 // online quality. Route stats are created once at Handler build; model
 // stats are created under AddModel.
 type serverStats struct {
-	start        time.Time
-	sloTarget    time.Duration
-	sloObjective float64
-	reg          *obs.Registry
+	start     time.Time
+	sloTarget time.Duration
+	reg       *obs.Registry
+	routes    *RouteWindows
 
 	mu     sync.Mutex
-	routes map[string]*routeStats
 	models map[string]*modelStats
 	global lifecycleCounts
 }
 
-type routeStats struct {
+// RouteWindows holds per-route rolling latency windows and SLOs over
+// obs.StatsSpans. A server keeps one for its own routes; the fleet
+// router keeps another for the routed, client-visible latency.
+type RouteWindows struct {
+	sloTarget    time.Duration
+	sloObjective float64
+
+	mu     sync.Mutex
+	routes map[string]*RouteStats
+}
+
+// RouteStats is one route's window + SLO pair.
+type RouteStats struct {
 	win *obs.Window
 	slo *obs.SLO
+}
+
+// NewRouteWindows returns an empty set whose SLOs hold sloObjective of
+// requests under sloTarget.
+func NewRouteWindows(sloTarget time.Duration, sloObjective float64) *RouteWindows {
+	return &RouteWindows{
+		sloTarget:    sloTarget,
+		sloObjective: sloObjective,
+		routes:       map[string]*RouteStats{},
+	}
 }
 
 type lifecycleCounts struct {
@@ -103,31 +124,51 @@ type modelStats struct {
 
 func newServerStats(reg *obs.Registry, sloTarget time.Duration, sloObjective float64) *serverStats {
 	return &serverStats{
-		start:        time.Now(),
-		sloTarget:    sloTarget,
-		sloObjective: sloObjective,
-		reg:          reg,
-		routes:       map[string]*routeStats{},
-		models:       map[string]*modelStats{},
+		start:     time.Now(),
+		sloTarget: sloTarget,
+		reg:       reg,
+		routes:    NewRouteWindows(sloTarget, sloObjective),
+		models:    map[string]*modelStats{},
 	}
 }
 
 // maxSpan is the longest reported window; the ring is sized for it.
 func maxSpan() time.Duration { return obs.StatsSpans[len(obs.StatsSpans)-1] }
 
-// route returns (creating on first use) one route's window + SLO pair.
-func (st *serverStats) route(name string) *routeStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	rs, ok := st.routes[name]
+// Route returns (creating on first use) one route's window + SLO pair.
+func (rw *RouteWindows) Route(name string) *RouteStats {
+	rw.mu.Lock()
+	defer rw.mu.Unlock()
+	rs, ok := rw.routes[name]
 	if !ok {
-		rs = &routeStats{
+		rs = &RouteStats{
 			win: obs.NewWindow(obs.ServeBuckets, time.Second, maxSpan()),
-			slo: obs.NewSLO(st.sloTarget, st.sloObjective, time.Second, maxSpan()),
+			slo: obs.NewSLO(rw.sloTarget, rw.sloObjective, time.Second, maxSpan()),
 		}
-		st.routes[name] = rs
+		rw.routes[name] = rs
 	}
 	return rs
+}
+
+// Endpoints renders every route's windows and SLO verdicts, keyed by
+// span, as GET /v1/stats reports them.
+func (rw *RouteWindows) Endpoints() map[string]EndpointStats {
+	rw.mu.Lock()
+	routes := make(map[string]*RouteStats, len(rw.routes))
+	for k, v := range rw.routes {
+		routes[k] = v
+	}
+	rw.mu.Unlock()
+	out := make(map[string]EndpointStats, len(routes))
+	for name, rs := range routes {
+		es := EndpointStats{Windows: map[string]WindowJSON{}, SLO: map[string]obs.SLOReport{}}
+		for _, span := range obs.StatsSpans {
+			es.Windows[spanKey(span)] = windowJSON(rs.win.Snapshot(span))
+			es.SLO[spanKey(span)] = rs.slo.Report(span)
+		}
+		out[name] = es
+	}
+	return out
 }
 
 // model returns (creating on first use) one model's quality telemetry,
@@ -166,8 +207,8 @@ func prefixBounds() []float64 {
 	return b
 }
 
-// observe feeds one finished request into its route's window and SLO.
-func (rs *routeStats) observe(d time.Duration, status int) {
+// Observe feeds one finished request into its route's window and SLO.
+func (rs *RouteStats) Observe(d time.Duration, status int) {
 	rs.win.Observe(d.Seconds())
 	rs.slo.Observe(d, status >= 500)
 }
@@ -390,15 +431,11 @@ func (st *serverStats) Snapshot() StatsSnapshot {
 		Now:       time.Now(),
 		UptimeS:   time.Since(st.start).Seconds(),
 		SLOTarget: st.sloTarget.String(),
-		Endpoints: map[string]EndpointStats{},
+		Endpoints: st.routes.Endpoints(),
 		Models:    map[string]ModelQuality{},
 	}
 
 	st.mu.Lock()
-	routes := make(map[string]*routeStats, len(st.routes))
-	for k, v := range st.routes {
-		routes[k] = v
-	}
 	models := make(map[string]*modelStats, len(st.models))
 	for k, v := range st.models {
 		models[k] = v
@@ -406,14 +443,6 @@ func (st *serverStats) Snapshot() StatsSnapshot {
 	snap.Sessions = st.global
 	st.mu.Unlock()
 
-	for name, rs := range routes {
-		es := EndpointStats{Windows: map[string]WindowJSON{}, SLO: map[string]obs.SLOReport{}}
-		for _, span := range obs.StatsSpans {
-			es.Windows[spanKey(span)] = windowJSON(rs.win.Snapshot(span))
-			es.SLO[spanKey(span)] = rs.slo.Report(span)
-		}
-		snap.Endpoints[name] = es
-	}
 	for name, ms := range models {
 		ms.mu.Lock()
 		q := ModelQuality{

@@ -9,8 +9,8 @@ import (
 
 // TestClassifyBatchMatchesClassify pins the batch contract: one
 // ClassifyBatch call over N instances fills exactly the labels and
-// consumed counts N individual Classify calls produce — the fold loop
-// and the serving batcher lean on this bit-identity.
+// consumed counts N individual Classify calls produce — core.Score's
+// fold loop leans on this bit-identity.
 func TestClassifyBatchMatchesClassify(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	train := divergeDataset(rng, 50, 24, 4)

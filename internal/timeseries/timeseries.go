@@ -2,7 +2,7 @@
 // ETSC evaluation framework: labeled, possibly multivariate time-series
 // instances grouped into datasets, together with the preprocessing
 // primitives the paper relies on (prefix truncation, gap interpolation,
-// z-normalization, stratified splitting).
+// stratified splitting).
 //
 // The memory layout follows the framework's CSV format (one variable per
 // row, label first): an Instance holds Values[variable][time], so a
@@ -314,34 +314,5 @@ func (d *Dataset) PadToLength(L int) {
 			}
 			in.Values[v] = padded
 		}
-	}
-}
-
-// ZNormalizeRow normalizes a single series in place to zero mean and unit
-// standard deviation; constant rows become all zeros.
-func ZNormalizeRow(row []float64) {
-	n := float64(len(row))
-	if n == 0 {
-		return
-	}
-	var sum float64
-	for _, v := range row {
-		sum += v
-	}
-	mean := sum / n
-	var ss float64
-	for _, v := range row {
-		diff := v - mean
-		ss += diff * diff
-	}
-	std := math.Sqrt(ss / n)
-	if std < 1e-12 {
-		for i := range row {
-			row[i] = 0
-		}
-		return
-	}
-	for i := range row {
-		row[i] = (row[i] - mean) / std
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func mkInstance(label int, rows ...[]float64) Instance {
@@ -142,39 +141,6 @@ func TestPadToLength(t *testing.T) {
 	row := d.Instances[0].Values[0]
 	if len(row) != 5 || row[4] != 2 {
 		t.Fatalf("pad wrong: %v", row)
-	}
-}
-
-func TestZNormalizeRowProperties(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		row := make([]float64, len(raw))
-		for i, v := range raw {
-			// Clamp quick-generated values to a sane range.
-			row[i] = math.Mod(v, 1e6)
-			if math.IsNaN(row[i]) || math.IsInf(row[i], 0) {
-				row[i] = 0
-			}
-		}
-		ZNormalizeRow(row)
-		var sum, ss float64
-		for _, v := range row {
-			sum += v
-			ss += v * v
-		}
-		n := float64(len(row))
-		mean := sum / n
-		std := math.Sqrt(ss/n - mean*mean)
-		if math.Abs(mean) > 1e-6 {
-			return false
-		}
-		// Either unit std or an all-zero (constant) row.
-		return math.Abs(std-1) < 1e-6 || std < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

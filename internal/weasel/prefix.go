@@ -134,12 +134,11 @@ type cwState struct {
 
 // NewPrefixEvaluator returns an evaluator for this fitted model over the
 // cache's series, or nil when the model cannot be evaluated
-// incrementally: whole-series z-normalization rescales every point as
-// the prefix grows (no prefix extension to exploit), multivariate models
-// take instances rather than one series, and a cache fit to different
-// SFA settings would feed the model foreign coefficients.
+// incrementally: multivariate models take instances rather than one
+// series, and a cache fit to different SFA settings would feed the model
+// foreign coefficients.
 func (m *Model) NewPrefixEvaluator(pc *PrefixCache) *PrefixEvaluator {
-	if m.head == nil || m.numVars != 1 || m.cfg.ZNormalize {
+	if m.head == nil || m.numVars != 1 {
 		return nil
 	}
 	if m.cfg.WordLength != pc.wordLength || m.cfg.SFANorm != pc.norm {

@@ -128,14 +128,6 @@ func TestPrefixEvaluatorDeclines(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	train, labels := prefixTrainData(rng, 10, 24)
 
-	zn := New(Config{ZNormalize: true})
-	if err := zn.FitSeries(train, labels, 2); err != nil {
-		t.Fatal(err)
-	}
-	if zn.NewPrefixEvaluator(zn.NewPrefixCache()) != nil {
-		t.Fatal("z-normalized model must decline incremental evaluation")
-	}
-
 	plain := New(Config{})
 	if err := plain.FitSeries(train, labels, 2); err != nil {
 		t.Fatal(err)

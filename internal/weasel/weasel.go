@@ -5,8 +5,7 @@
 // vocabulary, and a logistic-regression head produces probabilities.
 //
 // Following the paper's streaming argument (Sections 3.6 and 4), the whole
-// series z-normalization step of the original implementations is disabled
-// by default and can be re-enabled via Config.ZNormalize.
+// series z-normalization step of the original implementations is left out.
 package weasel
 
 import (
@@ -17,7 +16,6 @@ import (
 	"github.com/goetsc/goetsc/internal/logreg"
 	"github.com/goetsc/goetsc/internal/sfa"
 	"github.com/goetsc/goetsc/internal/stats"
-	"github.com/goetsc/goetsc/internal/timeseries"
 )
 
 // Config controls the WEASEL pipeline. The zero value selects defaults.
@@ -41,9 +39,6 @@ type Config struct {
 	MaxFeatures int
 	// SFANorm drops the DC Fourier coefficient in SFA words.
 	SFANorm bool
-	// ZNormalize re-enables whole-series z-normalization (off by default;
-	// see the package comment).
-	ZNormalize bool
 	// MaxFitWindows caps how many windows are used to fit SFA boundaries
 	// per window size (subsampled by stride); default 20000.
 	MaxFitWindows int
@@ -308,17 +303,12 @@ func (m *Model) channelSeriesAll(instances [][][]float64) [][][]float64 {
 }
 
 // channelSeries expands one instance into its channels: each variable,
-// optionally z-normalized, plus its first-difference series when
-// Derivatives is enabled (the MUSE construction).
+// plus its first-difference series when Derivatives is enabled (the MUSE
+// construction).
 func (m *Model) channelSeries(instance [][]float64) [][]float64 {
 	cfg := m.cfg
 	var out [][]float64
-	for _, v := range instance {
-		s := v
-		if cfg.ZNormalize {
-			s = append([]float64(nil), v...)
-			timeseries.ZNormalizeRow(s)
-		}
+	for _, s := range instance {
 		out = append(out, s)
 		if cfg.Derivatives && len(s) > 1 {
 			d := make([]float64, len(s)-1)
