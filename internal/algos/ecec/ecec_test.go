@@ -120,24 +120,6 @@ func TestAlphaTradeoff(t *testing.T) {
 	}
 }
 
-func TestPrefixLengths(t *testing.T) {
-	ps := prefixLengths(10, 4)
-	want := []int{3, 5, 8, 10}
-	if len(ps) != len(want) {
-		t.Fatalf("prefixes = %v", ps)
-	}
-	for i := range want {
-		if ps[i] != want[i] {
-			t.Fatalf("prefixes = %v, want %v", ps, want)
-		}
-	}
-	// Minimum prefix is 2 (WEASEL needs at least 2 points).
-	ps = prefixLengths(40, 20)
-	if ps[0] < 2 {
-		t.Fatalf("first prefix = %d", ps[0])
-	}
-}
-
 func TestRejectsMultivariate(t *testing.T) {
 	mv := &ts.Dataset{Name: "mv", Instances: []ts.Instance{
 		{Values: [][]float64{{1, 2}, {3, 4}}, Label: 0},

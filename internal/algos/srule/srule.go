@@ -16,8 +16,8 @@ package srule
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
+	"github.com/goetsc/goetsc/internal/algos/checkpoint"
 	"github.com/goetsc/goetsc/internal/stats"
 	ts "github.com/goetsc/goetsc/internal/timeseries"
 	"github.com/goetsc/goetsc/internal/weasel"
@@ -82,76 +82,17 @@ func (c *Classifier) Gamma() [3]float64 { return c.gamma }
 
 // Fit implements core.EarlyClassifier; the input must be univariate.
 func (c *Classifier) Fit(train *ts.Dataset) error {
-	if train.NumVars() != 1 {
-		return fmt.Errorf("srule: univariate algorithm got %d variables (use the voting wrapper)", train.NumVars())
-	}
 	cfg := c.Cfg.withDefaults()
 	c.cfg = cfg
-	c.numClasses = train.NumClasses()
-	if c.numClasses < 2 {
-		return fmt.Errorf("srule: need at least 2 classes")
-	}
-	c.length = train.MaxLength()
-	c.prefixes = prefixLengths(c.length, cfg.Checkpoints)
-
-	n := train.Len()
-	series := make([][]float64, n)
-	labels := make([]int, n)
-	for i, in := range train.Instances {
-		series[i] = in.Values[0]
-		labels[i] = in.Label
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	folds := cfg.CVFolds
-	if folds > n {
-		folds = n
-	}
-	if folds < 2 {
-		return fmt.Errorf("srule: need at least 2 training series")
-	}
-	assignment := foldAssignment(labels, c.numClasses, folds, rng)
-
 	// Full-train checkpoint models + out-of-fold posteriors.
-	c.models = make([]*weasel.Model, len(c.prefixes))
-	oofProbs := make([][][]float64, len(c.prefixes))
-	for pi, plen := range c.prefixes {
-		truncated := make([][]float64, n)
-		for i, s := range series {
-			truncated[i] = prefixOf(s, plen)
-		}
-		m := weasel.New(cfg.Weasel)
-		if err := m.FitSeries(truncated, labels, c.numClasses); err != nil {
-			return fmt.Errorf("srule: checkpoint %d: %w", plen, err)
-		}
-		c.models[pi] = m
-		probs := make([][]float64, n)
-		for f := 0; f < folds; f++ {
-			var trX [][]float64
-			var trY []int
-			var teIdx []int
-			for i := range series {
-				if assignment[i] == f {
-					teIdx = append(teIdx, i)
-				} else {
-					trX = append(trX, truncated[i])
-					trY = append(trY, labels[i])
-				}
-			}
-			if len(teIdx) == 0 {
-				continue
-			}
-			fm := weasel.New(cfg.Weasel)
-			if err := fm.FitSeries(trX, trY, c.numClasses); err != nil {
-				return fmt.Errorf("srule: checkpoint %d fold %d: %w", plen, f, err)
-			}
-			for _, i := range teIdx {
-				probs[i] = fm.PredictProbaSeries(truncated[i])
-			}
-		}
-		oofProbs[pi] = probs
+	t, err := checkpoint.Train(train, cfg.Checkpoints, cfg.CVFolds, cfg.Seed, func(int) weasel.Config { return cfg.Weasel })
+	if err != nil {
+		return fmt.Errorf("srule: %w", err)
 	}
+	c.numClasses, c.length, c.prefixes, c.models = t.NumClasses, t.Length, t.Lengths, t.Models
 
 	// Grid-search the rule coefficients on the out-of-fold posteriors.
+	n := len(t.Labels)
 	bestCost := math.Inf(1)
 	for _, g1 := range cfg.GammaGrid {
 		for _, g2 := range cfg.GammaGrid {
@@ -159,9 +100,9 @@ func (c *Classifier) Fit(train *ts.Dataset) error {
 				gamma := [3]float64{g1, g2, g3}
 				correct := 0
 				var earliness float64
-				for i := 0; i < n; i++ {
-					pi := c.stoppingPoint(gamma, func(p int) []float64 { return oofProbs[p][i] })
-					if stats.ArgMax(oofProbs[pi][i]) == labels[i] {
+				for i, y := range t.Labels {
+					pi := c.stoppingPoint(gamma, func(p int) []float64 { return t.OOF[p][i] })
+					if stats.ArgMax(t.OOF[pi][i]) == y {
 						correct++
 					}
 					earliness += float64(c.prefixes[pi]) / float64(c.length)
@@ -201,7 +142,7 @@ func (c *Classifier) Classify(in ts.Instance) (int, int) {
 	cache := make([][]float64, len(c.prefixes))
 	probsAt := func(pi int) []float64 {
 		if cache[pi] == nil {
-			cache[pi] = c.models[pi].PredictProbaSeries(prefixOf(s, c.prefixes[pi]))
+			cache[pi] = c.models[pi].PredictProbaSeries(checkpoint.Prefix(s, c.prefixes[pi]))
 		}
 		return cache[pi]
 	}
@@ -227,48 +168,4 @@ func topTwo(probs []float64) (p1, p2 float64) {
 		p2 = 0
 	}
 	return p1, p2
-}
-
-func prefixLengths(length, n int) []int {
-	if n > length {
-		n = length
-	}
-	var out []int
-	seen := map[int]bool{}
-	for i := 1; i <= n; i++ {
-		t := int(math.Ceil(float64(i*length) / float64(n)))
-		if t < 2 {
-			t = 2
-		}
-		if t > length {
-			t = length
-		}
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func prefixOf(s []float64, n int) []float64 {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n]
-}
-
-func foldAssignment(labels []int, numClasses, folds int, rng *rand.Rand) []int {
-	byClass := make([][]int, numClasses)
-	for i, y := range labels {
-		byClass[y] = append(byClass[y], i)
-	}
-	out := make([]int, len(labels))
-	for _, idxs := range byClass {
-		rng.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
-		for pos, idx := range idxs {
-			out[idx] = pos % folds
-		}
-	}
-	return out
 }

@@ -155,14 +155,3 @@ func TestShortTestInstance(t *testing.T) {
 		t.Fatalf("consumed %d > length %d", consumed, short.Length())
 	}
 }
-
-func TestPrefixLengthsMinimumTwo(t *testing.T) {
-	ps := prefixLengths(40, 20)
-	if ps[0] < 2 {
-		t.Fatalf("first prefix = %d", ps[0])
-	}
-	last := ps[len(ps)-1]
-	if last != 40 {
-		t.Fatalf("last prefix = %d, want full length", last)
-	}
-}
