@@ -189,16 +189,7 @@ func main() {
 	if !*traces {
 		res.Traces = nil // collected only for correlation; keep the JSON result small
 	}
-	if *jsonOut != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			failWith(obsCleanup, err)
-		}
-		if err := os.WriteFile(*jsonOut, append(b, '\n'), 0o644); err != nil {
-			failWith(obsCleanup, err)
-		}
-		fmt.Printf("result written to %s\n", *jsonOut)
-	}
+	writeJSON(obsCleanup, *jsonOut, res)
 	if res.Errors > 0 || res.ParityMismatches > 0 {
 		failWith(obsCleanup, fmt.Errorf("%d request errors, %d parity mismatches", res.Errors, res.ParityMismatches))
 	}
@@ -236,16 +227,7 @@ func runChurnMode(col *obs.Collector, cleanup func(), instances [][][]float64, r
 		"advance_p99_ms": float64(res.Advance.P99) / float64(time.Millisecond),
 		"parity_checked": res.ParityChecked, "parity_mismatches": res.ParityMismatches,
 	})
-	if opt.jsonOut != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			failWith(cleanup, err)
-		}
-		if err := os.WriteFile(opt.jsonOut, append(b, '\n'), 0o644); err != nil {
-			failWith(cleanup, err)
-		}
-		fmt.Printf("result written to %s\n", opt.jsonOut)
-	}
+	writeJSON(cleanup, opt.jsonOut, res)
 	if res.Errors > 0 || res.ParityMismatches > 0 {
 		failWith(cleanup, fmt.Errorf("%d request errors, %d parity mismatches", res.Errors, res.ParityMismatches))
 	}
@@ -275,19 +257,26 @@ func runIngestMode(col *obs.Collector, cleanup func(), d *ts.Dataset, addr, mode
 		"entities_evicted": res.Summary.EntitiesEvicted,
 		"windows":          res.Summary.Windows,
 	})
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			failWith(cleanup, err)
-		}
-		if err := os.WriteFile(jsonOut, append(b, '\n'), 0o644); err != nil {
-			failWith(cleanup, err)
-		}
-		fmt.Printf("result written to %s\n", jsonOut)
-	}
+	writeJSON(cleanup, jsonOut, res)
 	if res.Errors > 0 {
 		failWith(cleanup, fmt.Errorf("%d response errors", res.Errors))
 	}
+}
+
+// writeJSON writes a run result as indented JSON to path, when one was
+// given with -json.
+func writeJSON(cleanup func(), path string, res any) {
+	if path == "" {
+		return
+	}
+	b, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		failWith(cleanup, err)
+	}
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		failWith(cleanup, err)
+	}
+	fmt.Printf("result written to %s\n", path)
 }
 
 // failWith flushes observability sinks before exiting so a failed run

@@ -190,16 +190,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	if err != nil {
 		return ChurnResult{}, err
 	}
-	tr, _ := http.DefaultTransport.(*http.Transport)
-	if tr != nil {
-		tr = tr.Clone()
-		tr.MaxIdleConns = cfg.Clients * 2
-		tr.MaxIdleConnsPerHost = cfg.Clients
-	}
-	client := &http.Client{Timeout: cfg.Timeout}
-	if tr != nil {
-		client.Transport = tr
-	}
+	client := pooledClient(cfg.Clients, cfg.Timeout)
 
 	var (
 		next     atomic.Int64 // next session index to start

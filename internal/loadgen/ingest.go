@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -155,7 +154,6 @@ func RunIngest(cfg IngestConfig) (IngestResult, error) {
 
 	res := IngestResult{Events: len(cfg.Events)}
 	var latencies []time.Duration
-	var sum time.Duration
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
@@ -183,12 +181,7 @@ func RunIngest(cfg IngestConfig) (IngestResult, error) {
 		sent, ok := lastSend[probe.Entity]
 		mu.Unlock()
 		if ok {
-			lat := now.Sub(sent)
-			latencies = append(latencies, lat)
-			sum += lat
-			if lat > res.Max {
-				res.Max = lat
-			}
+			latencies = append(latencies, now.Sub(sent))
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -201,13 +194,8 @@ func RunIngest(cfg IngestConfig) (IngestResult, error) {
 		return res, fmt.Errorf("loadgen: ingest: server read error: %s", res.Summary.ReadError)
 	}
 	res.Elapsed = time.Since(start)
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	res.P50 = percentile(latencies, 0.50)
-	res.P95 = percentile(latencies, 0.95)
-	res.P99 = percentile(latencies, 0.99)
-	if len(latencies) > 0 {
-		res.Mean = sum / time.Duration(len(latencies))
-	}
+	lat := phaseStats(latencies)
+	res.P50, res.P95, res.P99, res.Mean, res.Max = lat.P50, lat.P95, lat.P99, lat.Mean, lat.Max
 	if res.Elapsed > 0 {
 		res.Throughput = float64(res.Events) / res.Elapsed.Seconds()
 	}
