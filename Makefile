@@ -20,16 +20,18 @@ vet:
 # Race-check the concurrent paths: the obs collector (journal/metrics are
 # written from many goroutines), the budget-bounded evaluation runner, the
 # worker pool, the parallel matrix engine, candidate tuning, and the
-# parallel MiniROCKET fit. The bench package is filtered to its parallel
-# tests — the full matrix under -race takes minutes. Every line runs at
-# GOMAXPROCS 1 and 2, so the workers-vs-serial equality and the shared
-# collector, pool and fit paths are also checked with goroutines running
-# truly in parallel, not only interleaved. The neural layers and
+# parallel MiniROCKET fit, and the SFA and gbdt training kernels, whose
+# split tables and presorted feature orders are shared read-only across
+# the searches and trees of one fit. The bench package is filtered to its
+# parallel tests — the full matrix under -race takes minutes. Every line
+# runs at GOMAXPROCS 1 and 2, so the workers-vs-serial equality and the
+# shared collector, pool and fit paths are also checked with goroutines
+# running truly in parallel, not only interleaved. The neural layers and
 # MLSTM-FCN reuse per-layer buffers in training, and concurrent
 # PredictProba on one trained model must touch none of them.
 race:
 	$(GO) test -race -cpu 1,2 ./internal/obs/... ./internal/core/... ./internal/sched/... \
-		./internal/tune/... ./internal/minirocket/...
+		./internal/tune/... ./internal/minirocket/... ./internal/sfa/... ./internal/gbdt/...
 	$(GO) test -race -cpu 1,2 -run 'Parallel|Deterministic' ./internal/bench/...
 	$(GO) test -race -cpu 1,2 ./internal/neural/... ./internal/mlstm/...
 
@@ -97,9 +99,12 @@ serve-smoke:
 # request decoder (package wire's canonical subset) runs against the
 # encoding/json decode it falls back to — whatever the fast path accepts
 # must decode to the same bits, and whatever it declines must reach the
-# fallback untouched. Plain `go test` replays the committed corpora
-# under testdata/fuzz; this target mutates beyond them for FUZZTIME
-# per target. go test -fuzz takes one target and one package per run.
+# fallback untouched. The training kernels are held to the exhaustive
+# code they replaced the same way: the screened SFA split search, the
+# presorted gbdt tree growth and MiniROCKET's bias selection. Plain
+# `go test` replays the committed corpora under testdata/fuzz; this
+# target mutates beyond them for FUZZTIME per target. go test -fuzz
+# takes one target and one package per run.
 FUZZTIME ?= 4s
 FUZZ_TARGETS := \
 	./internal/wire:FuzzScanner \
@@ -108,7 +113,10 @@ FUZZ_TARGETS := \
 	./internal/serve:FuzzDecodeSessionCreate \
 	./internal/fleet:FuzzDecodeFleetCreate \
 	./internal/fleet:FuzzDecidedResponse \
-	./internal/ingest:FuzzDecodeEvent
+	./internal/ingest:FuzzDecodeEvent \
+	./internal/sfa:FuzzBestIGSplit \
+	./internal/gbdt:FuzzGrowTree \
+	./internal/minirocket:FuzzOrderStats
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \

@@ -108,6 +108,19 @@ func (m *Model) Fit(X [][]float64, y []int, numClasses int) error {
 		m.baseScore[c] = math.Log(p / (1 - p))
 	}
 	m.trees = nil
+	gr := newGrower(X, tp)
+	// Every tree sees the same rows without subsampling, so each feature
+	// is sorted once per Fit; with subsampling, once per round.
+	var root [][]valueSample
+	columns := func(samples []int) [][]valueSample {
+		if root == nil {
+			root = newColumns(dim, len(samples))
+		} else if cfg.Subsample >= 1 {
+			return root
+		}
+		sortColumns(root, X, samples)
+		return root
+	}
 
 	if m.binary {
 		scores := make([]float64, n)
@@ -127,7 +140,7 @@ func (m *Model) Fit(X [][]float64, y []int, numClasses int) error {
 				h[i] = p * (1 - p)
 			}
 			samples := sampleRows(n, cfg.Subsample, rng)
-			tr := buildTree(X, g, h, samples, tp)
+			tr := gr.build(g, h, samples, columns(samples))
 			m.trees = append(m.trees, []*tree{tr})
 			for i := range X {
 				scores[i] += cfg.LearningRate * tr.predict(X[i])
@@ -147,6 +160,7 @@ func (m *Model) Fit(X [][]float64, y []int, numClasses int) error {
 	for round := 0; round < cfg.Rounds; round++ {
 		roundTrees := make([]*tree, numClasses)
 		samples := sampleRows(n, cfg.Subsample, rng)
+		cols := columns(samples)
 		for c := 0; c < numClasses; c++ {
 			for i := range X {
 				stats.Softmax(scores[i], probs)
@@ -161,7 +175,7 @@ func (m *Model) Fit(X [][]float64, y []int, numClasses int) error {
 					h[i] = 1e-12
 				}
 			}
-			roundTrees[c] = buildTree(X, g, h, samples, tp)
+			roundTrees[c] = gr.build(g, h, samples, cols)
 		}
 		m.trees = append(m.trees, roundTrees)
 		for i := range X {

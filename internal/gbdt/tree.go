@@ -27,16 +27,79 @@ type treeParams struct {
 	minChildWeight float64 // min hessian sum per child
 }
 
-// buildTree grows a regression tree on samples (indices into X) with
-// gradients g and hessians h.
-func buildTree(X [][]float64, g, h []float64, samples []int, p treeParams) *tree {
+// grower grows the trees of one Fit. Every node's split search needs
+// its samples ordered by each feature's value. The root's orders are
+// sorted once and shared read-only by every tree that sees the same
+// rows; a child's order per feature is its parent's, split stably into
+// left and right, and is kept only when its values strictly increase.
+// Then it is the only ascending order of those values, so it is the one
+// sortByValue would return: no ties, no ±0 pair and no NaN are left to
+// order. Otherwise the child's order is rebuilt from its samples and
+// sorted with sortByValue, exactly as a per-node sort would. Split
+// choices, gradient sums and so every tree stay bit-identical to sorting
+// every feature at every node.
+type grower struct {
+	X [][]float64
+	p treeParams
+	// rows holds each node's samples in a contiguous segment, in the
+	// order the node received them; cols[f] holds the same segment
+	// ordered by feature f.
+	rows   []int
+	cols   [][]valueSample
+	tmpRow []int
+	tmpCol []valueSample
+	goLeft []bool // indexed by sample
+}
+
+// newGrower allocates the work buffers for trees over n rows of X.
+func newGrower(X [][]float64, p treeParams) *grower {
+	n := len(X)
+	return &grower{
+		X: X, p: p,
+		rows:   make([]int, n),
+		cols:   newColumns(len(X[0]), n),
+		tmpRow: make([]int, n),
+		tmpCol: make([]valueSample, n),
+		goLeft: make([]bool, n),
+	}
+}
+
+// newColumns allocates nFeatures orders of n samples in one block.
+func newColumns(nFeatures, n int) [][]valueSample {
+	flat := make([]valueSample, nFeatures*n)
+	cols := make([][]valueSample, nFeatures)
+	for f := range cols {
+		cols[f] = flat[f*n : (f+1)*n : (f+1)*n]
+	}
+	return cols
+}
+
+// sortColumns fills cols[f] with samples ordered by feature f, the order
+// sortByValue gives from samples' order.
+func sortColumns(cols [][]valueSample, X [][]float64, samples []int) {
+	for f, order := range cols {
+		for k, i := range samples {
+			order[k] = valueSample{v: X[i][f], i: i}
+		}
+		sortByValue(order)
+	}
+}
+
+// build grows one regression tree on samples with gradients g and
+// hessians h; root holds samples ordered by each feature (sortColumns)
+// and is only read.
+func (gr *grower) build(g, h []float64, samples []int, root [][]valueSample) *tree {
 	t := &tree{}
-	t.grow(X, g, h, samples, p, 0)
+	copy(gr.rows, samples)
+	gr.grow(t, g, h, root, 0, len(samples), 0)
 	return t
 }
 
-// grow appends a subtree for the given samples and returns its root index.
-func (t *tree) grow(X [][]float64, g, h []float64, samples []int, p treeParams, depth int) int {
+// grow appends the subtree for the samples in rows[lo:hi], whose
+// per-feature orders are src[f][lo:hi], and returns its root index.
+func (gr *grower) grow(t *tree, g, h []float64, src [][]valueSample, lo, hi, depth int) int {
+	p := gr.p
+	samples := gr.rows[lo:hi]
 	var sumG, sumH float64
 	for _, i := range samples {
 		sumG += g[i]
@@ -49,23 +112,34 @@ func (t *tree) grow(X [][]float64, g, h []float64, samples []int, p treeParams, 
 	if depth >= p.maxDepth || len(samples) < 2 {
 		return idx
 	}
-	feature, threshold, gain := bestSplit(X, g, h, samples, sumG, sumH, p)
+	feature, threshold, gain := bestSplit(src, g, h, lo, hi, sumG, sumH, p)
 	if feature < 0 || gain <= p.gamma {
 		return idx
 	}
-	var left, right []int
+	nL := 0
 	for _, i := range samples {
-		if X[i][feature] < threshold {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+		left := gr.X[i][feature] < threshold
+		gr.goLeft[i] = left
+		if left {
+			nL++
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
+	if nL == 0 || nL == len(samples) {
 		return idx
 	}
-	l := t.grow(X, g, h, left, p, depth+1)
-	r := t.grow(X, g, h, right, p, depth+1)
+	mid := lo + nL
+	splitRows(samples, gr.tmpRow, gr.goLeft)
+	if depth+1 < p.maxDepth {
+		// Only children that search for a split need their orders.
+		for f, col := range src {
+			dst := gr.cols[f]
+			splitOrder(col[lo:hi], dst[lo:hi], gr.tmpCol, gr.goLeft)
+			gr.keepOrRebuild(dst[lo:mid], f, gr.rows[lo:mid])
+			gr.keepOrRebuild(dst[mid:hi], f, gr.rows[mid:hi])
+		}
+	}
+	l := gr.grow(t, g, h, gr.cols, lo, mid, depth+1)
+	r := gr.grow(t, g, h, gr.cols, mid, hi, depth+1)
 	t.nodes[idx].feature = feature
 	t.nodes[idx].threshold = threshold
 	t.nodes[idx].left = l
@@ -73,18 +147,61 @@ func (t *tree) grow(X [][]float64, g, h []float64, samples []int, p treeParams, 
 	return idx
 }
 
-// bestSplit scans every feature for the split maximizing the regularized
-// gain ½[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)].
-func bestSplit(X [][]float64, g, h []float64, samples []int, sumG, sumH float64, p treeParams) (feature int, threshold, gain float64) {
-	feature = -1
-	nFeatures := len(X[samples[0]])
-	parentScore := sumG * sumG / (sumH + p.lambda)
-	order := make([]valueSample, len(samples))
-	for f := 0; f < nFeatures; f++ {
-		for k, i := range samples {
-			order[k] = valueSample{v: X[i][f], i: i}
+// keepOrRebuild keeps a child's split order of feature f when its
+// values strictly increase and otherwise rebuilds it from the child's
+// samples with sortByValue.
+func (gr *grower) keepOrRebuild(order []valueSample, f int, samples []int) {
+	for k := 1; k < len(order); k++ {
+		if !(order[k-1].v < order[k].v) {
+			for k, i := range samples {
+				order[k] = valueSample{v: gr.X[i][f], i: i}
+			}
+			sortByValue(order)
+			return
 		}
-		sortByValue(order)
+	}
+}
+
+// splitRows moves the samples that go left to the front of rows and the
+// rest after them, each side in its original order.
+func splitRows(rows, tmp []int, goLeft []bool) {
+	nl, nr := 0, 0
+	for _, i := range rows {
+		if goLeft[i] {
+			rows[nl] = i
+			nl++
+		} else {
+			tmp[nr] = i
+			nr++
+		}
+	}
+	copy(rows[nl:], tmp[:nr])
+}
+
+// splitOrder writes src's entries whose sample goes left to the front of
+// dst and the rest after them, each side in src's order. dst may be src.
+func splitOrder(src, dst, tmp []valueSample, goLeft []bool) {
+	nl, nr := 0, 0
+	for _, e := range src {
+		if goLeft[e.i] {
+			dst[nl] = e
+			nl++
+		} else {
+			tmp[nr] = e
+			nr++
+		}
+	}
+	copy(dst[nl:], tmp[:nr])
+}
+
+// bestSplit scans every feature's order of the node's samples,
+// cols[f][lo:hi], for the split maximizing the regularized gain
+// ½[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)].
+func bestSplit(cols [][]valueSample, g, h []float64, lo, hi int, sumG, sumH float64, p treeParams) (feature int, threshold, gain float64) {
+	feature = -1
+	parentScore := sumG * sumG / (sumH + p.lambda)
+	for f, col := range cols {
+		order := col[lo:hi]
 		var gL, hL float64
 		for k := 0; k < len(order)-1; k++ {
 			i := order[k].i

@@ -11,7 +11,7 @@ import (
 func transformNaive(m *Model, instance [][]float64) []float64 {
 	var features []float64
 	for _, cb := range m.combos {
-		conv := m.convolve(instance, cb)
+		conv := m.convolveInto(nil, instance, cb)
 		for _, bias := range cb.biases {
 			positive := 0
 			for _, v := range conv {

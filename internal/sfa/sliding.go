@@ -181,8 +181,9 @@ func FitFromCoefficients(coeffs [][]float64, labels []int, numClasses int, cfg C
 	t.cfg.WordLength = actual
 	t.bitsPerSym = uint(bits(cfg.Alphabet))
 	t.boundaries = make([][]float64, actual)
+	sp := newSplitter(len(coeffs), numClasses)
 	for pos := 0; pos < actual; pos++ {
-		t.boundaries[pos] = fitBoundariesAt(coeffs, labels, numClasses, cfg.Alphabet, pos)
+		t.boundaries[pos] = sp.boundariesAt(coeffs, labels, cfg.Alphabet, pos)
 	}
 	return t, nil
 }
