@@ -52,7 +52,7 @@ chaos:
 # recover on their configured schedule, drain flushes in-flight work,
 # and at ~10x saturation admission control sheds cleanly while keeping
 # the admitted p99 within 2x of the unloaded p99. Runs at GOMAXPROCS 1
-# and 2; the faults package's own serve hooks run under make chaos.
+# and 2; faults.Corrupt's own test runs under make chaos.
 chaos-serve:
 	$(GO) test -race -cpu 1,2 -run 'Reload|Rollback|Breaker|Admission|Tenant|Shed|Overload|Drain|Readyz|Degraded|Corrupt' ./internal/serve/...
 
@@ -111,7 +111,6 @@ FUZZ_TARGETS := \
 	./internal/serve:FuzzDecodeClassify \
 	./internal/serve:FuzzDecodePoints \
 	./internal/serve:FuzzDecodeSessionCreate \
-	./internal/fleet:FuzzDecodeFleetCreate \
 	./internal/fleet:FuzzDecidedResponse \
 	./internal/ingest:FuzzDecodeEvent \
 	./internal/sfa:FuzzBestIGSplit \

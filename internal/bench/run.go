@@ -653,11 +653,3 @@ func (r *Results) Categories() []core.Category {
 	}
 	return out
 }
-
-// PadVaryingLength normalizes ragged datasets; exposed for reuse in tests
-// and the CLI.
-func PadVaryingLength(d *ts.Dataset) {
-	if d.MinLength() != d.MaxLength() {
-		d.PadToLength(d.MaxLength())
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -339,7 +338,7 @@ func (rt *Router) Drain(ctx context.Context) error {
 
 // ---- forwarding ----
 
-var errNoReplicas = errors.New("fleet: no live replicas")
+var errNoReplicas = serve.Errorf(http.StatusServiceUnavailable, "no_replicas", "fleet: no live replicas")
 
 // forward sends one request leg to a replica, carrying the router's own
 // span in the trace header — the replica adopts it and mints its child,
@@ -458,20 +457,6 @@ func (rt *Router) sessionDo(r *http.Request, p *pin, fi *fleetInfo, method, path
 
 // ---- handlers ----
 
-// routeErr is the router-side request failure, rendered in the same
-// JSON error shape the replicas use.
-type routeErr struct {
-	status int
-	kind   string
-	msg    string
-}
-
-func (e *routeErr) Error() string { return e.msg }
-
-func routeErrf(status int, kind, format string, args ...any) *routeErr {
-	return &routeErr{status: status, kind: kind, msg: fmt.Sprintf(format, args...)}
-}
-
 // fleetInfo accumulates what one routed request's journal record needs.
 type fleetInfo struct {
 	replica string
@@ -479,29 +464,11 @@ type fleetInfo struct {
 	healed  bool
 }
 
-// routerStatusWriter records the response status for the access record.
-type routerStatusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *routerStatusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *routerStatusWriter) Status() int {
-	if w.status == 0 {
-		return http.StatusOK
-	}
-	return w.status
-}
-
 // wrap instruments one route: trace adoption/echo, body cap, error
 // rendering, rolling windows and the journal record. Work routes are
-// additionally gated on drain mode.
+// additionally gated on drain mode. Tracing, status capture, drain
+// answers and error rendering are the replica's own front end, so the
+// router rejects a request exactly as a replica would.
 func (rt *Router) wrap(route string, work bool, h func(http.ResponseWriter, *http.Request, *fleetInfo) error) http.HandlerFunc {
 	reqs := rt.reg.Counter("etsc_fleet_requests_total",
 		"Requests entering the fleet router, by route.",
@@ -514,26 +481,19 @@ func (rt *Router) wrap(route string, work bool, h func(http.ResponseWriter, *htt
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		reqs.Inc()
-		client, adopted := obs.TraceFromRequest(r)
-		tc := client
-		var parent obs.SpanID
-		if adopted {
-			parent = client.Span
-			tc = client.Child()
-		}
-		w.Header().Set(obs.TraceHeader, tc.Header())
-		r = r.WithContext(obs.WithTrace(r.Context(), tc))
-		sw := &routerStatusWriter{ResponseWriter: w}
+		tc, parent, ctx := serve.TraceRequest(w, r)
+		r = r.WithContext(ctx)
+		sw := &serve.StatusWriter{ResponseWriter: w}
 		fi := &fleetInfo{}
 		var err error
 		if work && rt.draining.Load() {
-			err = routeErrf(http.StatusServiceUnavailable, "draining", "router is draining")
+			err = serve.DrainingError(sw)
 		} else {
-			r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
+			r.Body = http.MaxBytesReader(sw, r.Body, rt.cfg.MaxBodyBytes)
 			err = h(sw, r, fi)
 		}
 		if err != nil {
-			rt.renderError(sw, err)
+			serve.WriteError(sw, err)
 		}
 		wall := time.Since(start)
 		if rs != nil {
@@ -562,27 +522,6 @@ func (rt *Router) wrap(route string, work bool, h func(http.ResponseWriter, *htt
 			rt.cfg.Obs.Emit("fleet_access", fields)
 		}
 	}
-}
-
-func (rt *Router) renderError(w http.ResponseWriter, err error) {
-	status, kind, msg := http.StatusInternalServerError, "", err.Error()
-	var re *routeErr
-	var mbe *http.MaxBytesError
-	switch {
-	case errors.As(err, &re):
-		status, kind = re.status, re.kind
-	case errors.As(err, &mbe):
-		status, kind, msg = http.StatusRequestEntityTooLarge, "body_too_large", "request body too large"
-	case errors.Is(err, errNoReplicas):
-		status, kind = http.StatusServiceUnavailable, "no_replicas"
-	}
-	body := map[string]string{"error": msg}
-	if kind != "" {
-		body["kind"] = kind
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
 }
 
 // writeResponse relays a buffered backend answer to the client. The
@@ -620,91 +559,55 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-func readBody(r *http.Request) ([]byte, error) {
-	b, err := io.ReadAll(r.Body)
-	if err != nil {
-		return nil, err
+// route forwards one request to the replica pick chooses. A replica
+// that fails (or whose chaos hook fails it, when hook is set) is marked
+// down and the request goes to the next pick from the shrunken set.
+func (rt *Router) route(r *http.Request, fi *fleetInfo, pick func() *Replica, hook bool, method, path string, body []byte) (*response, error) {
+	for {
+		rp := pick()
+		if rp == nil {
+			return nil, errNoReplicas
+		}
+		fi.replica = rp.id
+		if hook {
+			if err := rt.checkHook(rp); err != nil {
+				rt.markDown(rp.id, err)
+				continue
+			}
+		}
+		f, err := rt.forward(r, rp, method, path, body)
+		if err != nil {
+			rt.markDown(rp.id, err)
+			continue
+		}
+		return f, nil
 	}
-	return b, nil
 }
 
 // handleClassify load-balances one-shot requests round-robin: they
 // carry no cursor state, so any replica answers correctly.
 func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request, fi *fleetInfo) error {
-	body, err := readBody(r)
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return err
 	}
-	for {
-		rp := rt.nextRR()
-		if rp == nil {
-			return errNoReplicas
-		}
-		fi.replica = rp.id
-		if err := rt.checkHook(rp); err != nil {
-			rt.markDown(rp.id, err)
-			continue
-		}
-		f, err := rt.forward(r, rp, http.MethodPost, "/v1/classify", body)
-		if err != nil {
-			rt.markDown(rp.id, err)
-			continue
-		}
-		return writeResponse(w, f)
+	f, err := rt.route(r, fi, rt.nextRR, true, http.MethodPost, "/v1/classify", body)
+	if err != nil {
+		return err
 	}
-}
-
-type fleetCreateRequest struct {
-	Model     string `json:"model"`
-	SessionID string `json:"session_id,omitempty"`
-}
-
-// decodeWire scans a create body in package wire's canonical subset,
-// reporting false — with req untouched — for anything else, which then
-// takes the encoding/json decode.
-func (req *fleetCreateRequest) decodeWire(body []byte) bool {
-	var s wire.Scanner
-	s.Reset(body)
-	var model, id []byte
-	for s.Next() {
-		switch string(s.Key()) {
-		case "model":
-			model = s.String()
-		case "session_id":
-			id = s.String()
-		default:
-			return false
-		}
-	}
-	if !s.Done() {
-		return false
-	}
-	if model != nil {
-		req.Model = string(model)
-	}
-	if id != nil {
-		req.SessionID = string(id)
-	}
-	return true
+	return writeResponse(w, f)
 }
 
 // handleSessionCreate places a new session: the router mints the ID
 // first (unless the client named one), so the rendezvous hash of the ID
-// decides the owner before any replica is touched.
+// decides the owner before any replica is touched. The body is decoded
+// by the replica's own decoder, so the router accepts exactly the
+// bodies a replica does.
 func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request, fi *fleetInfo) error {
-	body, err := readBody(r)
+	model, id, err := serve.DecodeSessionCreate(r)
 	if err != nil {
 		return err
 	}
-	var req fleetCreateRequest
-	if !req.decodeWire(body) {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return routeErrf(http.StatusBadRequest, "bad_request", "invalid JSON body: %v", err)
-		}
-	}
-	id := req.SessionID
 	if id == "" {
 		if id, err = serve.NewSessionID(); err != nil {
 			return err
@@ -712,43 +615,31 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request, fi
 	}
 	fi.session = id
 	if rt.pin(id) != nil {
-		return routeErrf(http.StatusConflict, "session_exists", "session %q already exists", id)
+		return serve.Errorf(http.StatusConflict, "session_exists", "session %q already exists", id)
 	}
-	createBody, err := json.Marshal(map[string]string{"model": req.Model, "session_id": id})
+	createBody, err := json.Marshal(map[string]string{"model": model, "session_id": id})
 	if err != nil {
 		return err
 	}
-	for {
-		rp := rt.owner(id)
-		if rp == nil {
-			return errNoReplicas
-		}
-		fi.replica = rp.id
-		if err := rt.checkHook(rp); err != nil {
-			rt.markDown(rp.id, err)
-			continue
-		}
-		f, err := rt.forward(r, rp, http.MethodPost, "/v1/sessions", createBody)
-		if err != nil {
-			rt.markDown(rp.id, err)
-			continue
-		}
-		if f.status == http.StatusCreated {
-			p := &pin{id: id, model: req.Model, replicaID: rp.id, lastSeen: rt.now()}
-			rt.mu.Lock()
-			rt.pins[id] = p
-			n := len(rt.pins)
-			rt.mu.Unlock()
-			rt.pinGauge.Set(float64(n))
-		}
-		return writeResponse(w, f)
+	f, err := rt.route(r, fi, func() *Replica { return rt.owner(id) }, true, http.MethodPost, "/v1/sessions", createBody)
+	if err != nil {
+		return err
 	}
+	if f.status == http.StatusCreated {
+		p := &pin{id: id, model: model, replicaID: fi.replica, lastSeen: rt.now()}
+		rt.mu.Lock()
+		rt.pins[id] = p
+		n := len(rt.pins)
+		rt.mu.Unlock()
+		rt.pinGauge.Set(float64(n))
+	}
+	return writeResponse(w, f)
 }
 
 func (rt *Router) handleSessionPoints(w http.ResponseWriter, r *http.Request, fi *fleetInfo) error {
 	id := r.PathValue("id")
 	fi.session = id
-	body, err := readBody(r)
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return err
 	}
@@ -818,32 +709,25 @@ func (rt *Router) passthrough(w http.ResponseWriter, r *http.Request, fi *fleetI
 	fi.replica = rp.id
 	if err := rt.checkHook(rp); err != nil {
 		rt.markDown(rp.id, err)
-		return routeErrf(http.StatusBadGateway, "replica_failed", "replica %s failed: %v", rp.id, err)
+		return serve.Errorf(http.StatusBadGateway, "replica_failed", "replica %s failed: %v", rp.id, err)
 	}
 	f, err := rt.forward(r, rp, method, path, body)
 	if err != nil {
 		rt.markDown(rp.id, err)
-		return routeErrf(http.StatusBadGateway, "replica_failed", "replica %s failed: %v", rp.id, err)
+		return serve.Errorf(http.StatusBadGateway, "replica_failed", "replica %s failed: %v", rp.id, err)
 	}
 	return writeResponse(w, f)
 }
 
 // handleModels asks one replica — the registries are replicas of each
-// other, so any live answer is the fleet's answer.
+// other, so any live answer is the fleet's answer. The router does not
+// count it as a work route, so ReplicaHook does not run for it.
 func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request, fi *fleetInfo) error {
-	for {
-		rp := rt.nextRR()
-		if rp == nil {
-			return errNoReplicas
-		}
-		fi.replica = rp.id
-		f, err := rt.forward(r, rp, http.MethodGet, "/v1/models", nil)
-		if err != nil {
-			rt.markDown(rp.id, err)
-			continue
-		}
-		return writeResponse(w, f)
+	f, err := rt.route(r, fi, rt.nextRR, false, http.MethodGet, "/v1/models", nil)
+	if err != nil {
+		return err
 	}
+	return writeResponse(w, f)
 }
 
 // decidedResponse reports whether a session-state body says "decided".

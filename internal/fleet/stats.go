@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -42,7 +43,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *fleet
 	rt.mu.RLock()
 	n := len(rt.replicas)
 	rt.mu.RUnlock()
-	return writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "replicas": n})
+	return serve.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "replicas": n})
 }
 
 // handleReadyz is ready only when every live replica is ready and at
@@ -68,7 +69,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request, _ *fleetI
 	if !ready {
 		status, verdict = http.StatusServiceUnavailable, "degraded"
 	}
-	return writeJSON(w, status, map[string]any{
+	return serve.WriteJSON(w, status, map[string]any{
 		"status":   verdict,
 		"replicas": perReplica,
 		"down":     rt.downList(),
@@ -111,7 +112,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request, _ *fleetIn
 		snap.PerReplica[rp.id] = ReplicaStatus{Status: f.status, Body: rawJSON(f.body)}
 	}
 	sort.Strings(snap.Replicas)
-	return writeJSON(w, http.StatusOK, snap)
+	return serve.WriteJSON(w, http.StatusOK, snap)
 }
 
 // downList copies the down map for rendering.
@@ -139,7 +140,7 @@ func (rt *Router) downList() map[string]string {
 // fan-out degrades to mixed versions, never to broken sessions.
 func (rt *Router) fanOut(w http.ResponseWriter, r *http.Request, op string) error {
 	name := r.PathValue("name")
-	body, err := readBody(r)
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return err
 	}
@@ -169,7 +170,7 @@ func (rt *Router) fanOut(w http.ResponseWriter, r *http.Request, op string) erro
 	rt.cfg.Obs.Emit("fleet_"+op, map[string]any{
 		"model": name, "ok": overall == http.StatusOK, "replicas": len(reps),
 	})
-	return writeJSON(w, overall, map[string]any{
+	return serve.WriteJSON(w, overall, map[string]any{
 		"model": name, "op": op, "replicas": perReplica,
 	})
 }
@@ -191,10 +192,4 @@ func rawJSON(b []byte) json.RawMessage {
 	}
 	quoted, _ := json.Marshal(string(b))
 	return json.RawMessage(quoted)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	return json.NewEncoder(w).Encode(v)
 }

@@ -100,7 +100,8 @@ type Config struct {
 	// entities beyond it are shed (counted, journaled once). Default
 	// 16384.
 	MaxEntities int
-	// EntityTTL is the idle eviction horizon EvictIdle sweeps with.
+	// EntityTTL is the idle eviction horizon EvictIdle sweeps with. The
+	// pipeline runs EvictIdle itself every EntityTTL/2 until Close.
 	// Default 10 minutes.
 	EntityTTL time.Duration
 	// Clock feeds entity last-seen stamps and the eviction sweep; nil
@@ -224,6 +225,10 @@ type Pipeline struct {
 
 	shedOnce sync.Once // journal the entity cap once, not per event
 
+	// The idle sweep: stopSweep ends it, swept closes once it has ended.
+	stopSweep chan struct{}
+	swept     chan struct{}
+
 	// Drift plane: central, touched once per completed window.
 	driftMu    sync.Mutex
 	profile    *RollingProfile
@@ -273,7 +278,26 @@ func New(cfg Config) (*Pipeline, error) {
 		p.wg.Add(1)
 		go sh.run()
 	}
+	p.stopSweep, p.swept = make(chan struct{}), make(chan struct{})
+	go p.sweepIdle(cfg.EntityTTL / 2)
 	return p, nil
+}
+
+// sweepIdle runs EvictIdle every interval until Close, so entities that
+// went quiet free their slots under MaxEntities. The interval is floored
+// at a millisecond so a tiny TTL cannot spin the shards on sweeps.
+func (p *Pipeline) sweepIdle(every time.Duration) {
+	defer close(p.swept)
+	ticker := time.NewTicker(max(every, time.Millisecond))
+	defer ticker.Stop()
+	for {
+		select {
+		case <-p.stopSweep:
+			return
+		case <-ticker.C:
+			p.EvictIdle()
+		}
+	}
 }
 
 // profileWindows sizes the rolling profile: the detector's window count
@@ -318,7 +342,8 @@ func (p *Pipeline) Flush() {
 // EvictIdle sweeps every shard for entities idle past the TTL, using
 // the same clock-injectable policy the serve layer's session sweep
 // uses, and returns how many were dropped. The sweep rides the shard
-// queues, so it is ordered with the events around it.
+// queues, so it is ordered with the events around it. The pipeline
+// calls it on its own timer; a caller may also sweep on demand.
 func (p *Pipeline) EvictIdle() int {
 	pol := evict.Policy{TTL: p.cfg.EntityTTL, Clock: p.cfg.Clock}
 	cutoff := pol.Cutoff()
@@ -352,12 +377,15 @@ func (p *Pipeline) barrier(fn func(*shard)) {
 	wg.Wait()
 }
 
-// Close drains the queues, stops the shards and waits for any
-// in-flight retrain. Submit fails afterwards; Close is idempotent.
+// Close stops the idle sweep, drains the queues, stops the shards and
+// waits for any in-flight retrain. Submit fails afterwards; Close is
+// idempotent.
 func (p *Pipeline) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return
 	}
+	close(p.stopSweep)
+	<-p.swept
 	for _, sh := range p.shards {
 		close(sh.queue)
 	}

@@ -235,6 +235,35 @@ func TestIngestEvictionByInjectedClock(t *testing.T) {
 	}
 }
 
+// TestIngestSweepsIdleEntitiesItself: with no caller sweeping, an entity
+// idle past EntityTTL is evicted on the pipeline's own timer, so a new
+// entity gets its slot under MaxEntities instead of being shed.
+func TestIngestSweepsIdleEntitiesItself(t *testing.T) {
+	reg := newFakeRegistry(4, 1, 4)
+	p, err := New(Config{
+		Registry: reg, Model: "m", Shards: 1,
+		MaxEntities: 1, EntityTTL: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Submit(point("a", 0, 1))
+	p.Flush()
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats().EntitiesEvicted == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("idle entity not evicted 5s past a 20ms TTL")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	p.Submit(point("b", 0, 1))
+	p.Flush()
+	if st := p.Stats(); st.Shed != 0 || st.EntitiesCreated != 2 || st.EntitiesLive != 1 {
+		t.Errorf("shed/created/live = %d/%d/%d, want 0/2/1", st.Shed, st.EntitiesCreated, st.EntitiesLive)
+	}
+}
+
 func TestIngestPinsVersionAcrossSwap(t *testing.T) {
 	reg := newFakeRegistry(4, 1, 4) // decide only on the full window
 	var got collect

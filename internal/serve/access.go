@@ -44,32 +44,35 @@ func info(r *http.Request) *reqInfo {
 	return &reqInfo{}
 }
 
-// statusWriter records the response status for the access record; the
-// default 200 covers handlers that never call WriteHeader.
-type statusWriter struct {
+// StatusWriter records the response status for the access record; the
+// default 200 covers handlers that never call WriteHeader. The fleet
+// router wraps its responses in it too.
+type StatusWriter struct {
 	http.ResponseWriter
 	status int
 }
 
-func (w *statusWriter) WriteHeader(code int) {
+func (w *StatusWriter) WriteHeader(code int) {
 	if w.status == 0 {
 		w.status = code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Status() int {
+// Status is the status written so far, 200 when none was.
+func (w *StatusWriter) Status() int {
 	if w.status == 0 {
 		return http.StatusOK
 	}
 	return w.status
 }
 
-// traceRequest resolves the request's trace, echoes it (rewritten to the
-// server's span) on the response, and threads trace + reqInfo through
-// the context. It returns the server-side trace context, the client's
-// span (zero when the request was untraced), and the derived request.
-func traceRequest(w http.ResponseWriter, r *http.Request) (obs.TraceContext, obs.SpanID, *reqInfo, *http.Request) {
+// TraceRequest resolves the request's trace and echoes it (rewritten to
+// this hop's span) on the response. It returns this hop's trace context,
+// the client's span (zero when the request was untraced), and the
+// request's context carrying the trace. The fleet router traces its
+// requests with it too.
+func TraceRequest(w http.ResponseWriter, r *http.Request) (obs.TraceContext, obs.SpanID, context.Context) {
 	client, adopted := obs.TraceFromRequest(r)
 	tc := client
 	var parent obs.SpanID
@@ -78,10 +81,7 @@ func traceRequest(w http.ResponseWriter, r *http.Request) (obs.TraceContext, obs
 		tc = client.Child()
 	}
 	w.Header().Set(obs.TraceHeader, tc.Header())
-	ri := &reqInfo{}
-	ctx := obs.WithTrace(r.Context(), tc)
-	ctx = context.WithValue(ctx, reqInfoKey{}, ri)
-	return tc, parent, ri, r.WithContext(ctx)
+	return tc, parent, obs.WithTrace(r.Context(), tc)
 }
 
 // logAccess emits one structured access record. Only called when a

@@ -178,11 +178,8 @@ func (s *Server) shed(reason int) {
 // request before any classification state is touched.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) error {
 	if s.draining.Load() {
-		// A draining server tells clients (and their load balancer) to
-		// reconnect elsewhere.
-		w.Header().Set("Connection", "close")
 		s.shed(shedDraining)
-		return errk(http.StatusServiceUnavailable, "draining", "server is draining")
+		return DrainingError(w)
 	}
 	if ok, wait := s.tenants.allow(tenantKey(r)); !ok {
 		s.shed(shedQuota)
@@ -192,6 +189,15 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) error {
 		return ae
 	}
 	return nil
+}
+
+// DrainingError is the answer to a work-plane request that reaches a
+// draining server or fleet router: 503, kind "draining", and a
+// Connection: close that tells clients (and their load balancer) to
+// reconnect elsewhere.
+func DrainingError(w http.ResponseWriter) error {
+	w.Header().Set("Connection", "close")
+	return errk(http.StatusServiceUnavailable, "draining", "server is draining")
 }
 
 // Drain puts the server into drain mode and waits for in-flight

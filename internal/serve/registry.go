@@ -183,7 +183,7 @@ func (s *Server) handleModelReload(w http.ResponseWriter, r *http.Request) error
 		"previous_version": old.info.Version, "algorithm": next.info.Algorithm,
 		"checksum": fi.Checksum, "bytes": fi.Bytes,
 	})
-	return writeJSON(w, http.StatusOK, reloadResponse{
+	return WriteJSON(w, http.StatusOK, reloadResponse{
 		Model: name, Algorithm: next.info.Algorithm, Version: next.info.Version,
 		PreviousVersion: old.info.Version, Checksum: checksumHex(fi.Checksum),
 	})
@@ -215,7 +215,7 @@ func (s *Server) handleModelRollback(w http.ResponseWriter, r *http.Request) err
 	s.cfg.Obs.Emit("model_rolled_back", map[string]any{
 		"model": name, "version": next.info.Version, "from_version": old.info.Version,
 	})
-	return writeJSON(w, http.StatusOK, reloadResponse{
+	return WriteJSON(w, http.StatusOK, reloadResponse{
 		Model: name, Algorithm: next.info.Algorithm, Version: next.info.Version,
 		PreviousVersion: old.info.Version, Checksum: checksumHex(next.checksum),
 	})

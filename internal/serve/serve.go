@@ -462,6 +462,13 @@ func errk(status int, kind, format string, args ...any) *apiError {
 	return &apiError{status: status, msg: fmt.Sprintf(format, args...), kind: kind}
 }
 
+// Errorf builds an error that WriteError renders with status and kind
+// (omitted from the body when empty). The fleet router builds its own
+// rejections with it.
+func Errorf(status int, kind, format string, args ...any) error {
+	return errk(status, kind, format, args...)
+}
+
 // retryAfterSeconds renders a Retry-After header value: whole seconds,
 // rounded up, at least 1.
 func retryAfterSeconds(d time.Duration) string {
@@ -505,8 +512,10 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request) e
 		gauge.Add(1)
 		defer gauge.Add(-1)
 
-		tc, parent, ri, r := traceRequest(w, r)
-		sw := &statusWriter{ResponseWriter: w}
+		tc, parent, ctx := TraceRequest(w, r)
+		ri := &reqInfo{}
+		r = r.WithContext(context.WithValue(ctx, reqInfoKey{}, ri))
+		sw := &StatusWriter{ResponseWriter: w}
 		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
 		var err error
 		if work {
@@ -522,28 +531,9 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request) e
 			}
 		}
 		if err != nil {
-			status := http.StatusInternalServerError
-			var ae *apiError
-			var mbe *http.MaxBytesError
-			switch {
-			case errors.As(err, &ae):
-				status = ae.status
-				if ae.retryAfter > 0 {
-					sw.Header().Set("Retry-After", retryAfterSeconds(ae.retryAfter))
-				}
-			case errors.As(err, &mbe):
-				status = http.StatusRequestEntityTooLarge
-				err = fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				status = http.StatusServiceUnavailable
-			}
+			status := WriteError(sw, err)
 			reg.Counter("etsc_serve_errors_total", "Request errors by route and status.",
 				routeLbl, obs.Label{Key: "code", Value: fmt.Sprint(status)}).Inc()
-			body := map[string]any{"error": err.Error()}
-			if ae != nil && ae.kind != "" {
-				body["kind"] = ae.kind
-			}
-			writeJSON(sw, status, body)
 		}
 		wall := time.Since(start)
 		latHist.Observe(wall.Seconds())
@@ -560,8 +550,38 @@ func (s *Server) wrap(route string, h func(http.ResponseWriter, *http.Request) e
 	}
 }
 
+// WriteError renders a failed request in the JSON error shape every
+// route answers with, and returns the status it wrote. An apiError
+// carries its own status, kind and Retry-After; an oversized body is
+// 413; a cancelled or expired request is 503; anything else is 500. The
+// fleet router renders its errors with it too, so a client cannot tell
+// a router's rejection from a replica's.
+func WriteError(w http.ResponseWriter, err error) int {
+	status := http.StatusInternalServerError
+	var ae *apiError
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &ae):
+		status = ae.status
+		if ae.retryAfter > 0 {
+			w.Header().Set("Retry-After", retryAfterSeconds(ae.retryAfter))
+		}
+	case errors.As(err, &mbe):
+		status = http.StatusRequestEntityTooLarge
+		err = fmt.Errorf("request body exceeds %d bytes", mbe.Limit)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusServiceUnavailable
+	}
+	body := map[string]any{"error": err.Error()}
+	if ae != nil && ae.kind != "" {
+		body["kind"] = ae.kind
+	}
+	WriteJSON(w, status, body)
+	return status
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	return WriteJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
 // handleReadyz is the readiness probe: 200 only when the server has
@@ -591,17 +611,17 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) error {
 	}
 	sort.Strings(openBreakers)
 	if s.draining.Load() || len(openBreakers) > 0 || len(failedReloads) > 0 {
-		return writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		return WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "degraded", "draining": s.draining.Load(),
 			"open_breakers": openBreakers, "failed_reloads": failedReloads,
 			"models": len(entries),
 		})
 	}
-	return writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "models": len(entries)})
+	return WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "models": len(entries)})
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, http.StatusOK, map[string]any{"models": s.Models()})
+	return WriteJSON(w, http.StatusOK, map[string]any{"models": s.Models()})
 }
 
 // classifyRequest is the one-shot request body. Values is indexed
@@ -702,7 +722,9 @@ func (s *Server) runClassify(model string, fn func() error) (err error) {
 	return fn()
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) error {
+// WriteJSON writes v as a JSON response with status. The fleet router
+// writes its own documents with it.
+func WriteJSON(w http.ResponseWriter, status int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	return json.NewEncoder(w).Encode(v)

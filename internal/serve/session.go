@@ -58,7 +58,7 @@ func (ss *session) state() sessionState {
 }
 
 // writeState renders state() by hand from the model's response arena —
-// byte-identical to writeJSON of state(), without the encoder or the
+// byte-identical to WriteJSON of state(), without the encoder or the
 // pointer boxing. Callers hold ss.mu (or exclusively own the session).
 func (ss *session) writeState(w http.ResponseWriter, status int) error {
 	n := 0
@@ -112,18 +112,26 @@ func validateSessionID(id string) error {
 	return nil
 }
 
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) error {
+// DecodeSessionCreate reads a session-create body (strictly, like every
+// request body) into the model name and the optional client-chosen
+// session ID. The fleet router decodes the body with it before placing
+// the session.
+func DecodeSessionCreate(r *http.Request) (model, sessionID string, err error) {
 	var req sessionCreateRequest
-	if err := decodeJSON(r, &req); err != nil {
+	err = decodeJSON(r, &req)
+	return req.Model, req.SessionID, err
+}
+
+func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) error {
+	model, id, err := DecodeSessionCreate(r)
+	if err != nil {
 		return err
 	}
-	e, ok := s.entry(req.Model)
+	e, ok := s.entry(model)
 	if !ok {
-		return errf(http.StatusNotFound, "unknown model %q", req.Model)
+		return errf(http.StatusNotFound, "unknown model %q", model)
 	}
-	id := req.SessionID
 	if id == "" {
-		var err error
 		if id, err = NewSessionID(); err != nil {
 			return err
 		}

@@ -472,7 +472,7 @@ func (st *serverStats) Snapshot() StatsSnapshot {
 // ---- handlers ----
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, http.StatusOK, s.Stats())
+	return WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 // handleMetrics serves the registry in Prometheus text exposition

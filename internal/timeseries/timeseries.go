@@ -291,28 +291,3 @@ func interpolateRow(row []float64) {
 		i = j
 	}
 }
-
-// PadToLength extends every instance to length L in place by repeating its
-// last observed value. It is used to feed varying-length datasets (PLAID)
-// to algorithms that require rectangular input, mirroring the framework's
-// handling of unequal-length series.
-func (d *Dataset) PadToLength(L int) {
-	for i := range d.Instances {
-		in := &d.Instances[i]
-		for v, row := range in.Values {
-			if len(row) >= L {
-				continue
-			}
-			padded := make([]float64, L)
-			copy(padded, row)
-			last := 0.0
-			if len(row) > 0 {
-				last = row[len(row)-1]
-			}
-			for k := len(row); k < L; k++ {
-				padded[k] = last
-			}
-			in.Values[v] = padded
-		}
-	}
-}

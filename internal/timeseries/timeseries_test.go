@@ -135,15 +135,6 @@ func TestInterpolateAllMissing(t *testing.T) {
 	}
 }
 
-func TestPadToLength(t *testing.T) {
-	d := mkDataset("d", mkInstance(0, []float64{1, 2}))
-	d.PadToLength(5)
-	row := d.Instances[0].Values[0]
-	if len(row) != 5 || row[4] != 2 {
-		t.Fatalf("pad wrong: %v", row)
-	}
-}
-
 func TestStratifiedKFoldPreservesProportions(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var instances []Instance
