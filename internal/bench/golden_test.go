@@ -17,7 +17,7 @@ import (
 //	go test ./internal/bench -run TestFastMatrixGolden -args -update-golden
 //
 // Regenerate only for a change that is meant to move scores, and say so.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/fast_matrix.golden")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files of the tests that run")
 
 const goldenPath = "testdata/fast_matrix.golden"
 
@@ -83,7 +83,14 @@ func TestFastMatrixGolden(t *testing.T) {
 
 func readGolden(t *testing.T) []string {
 	t.Helper()
-	f, err := os.Open(goldenPath)
+	return readGoldenFile(t, goldenPath)
+}
+
+// readGoldenFile returns a golden file's lines, skipping blanks and
+// # comments.
+func readGoldenFile(t *testing.T, path string) []string {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
