@@ -28,12 +28,13 @@ vet:
 # shared collector, pool and fit paths are also checked with goroutines
 # running truly in parallel, not only interleaved. The neural layers and
 # MLSTM-FCN reuse per-layer buffers in training, and concurrent
-# PredictProba on one trained model must touch none of them.
+# PredictProba on one trained model must touch none of them; linalg's
+# assembly training kernels ride on that line.
 race:
 	$(GO) test -race -cpu 1,2 ./internal/obs/... ./internal/core/... ./internal/sched/... \
 		./internal/tune/... ./internal/minirocket/... ./internal/sfa/... ./internal/gbdt/...
 	$(GO) test -race -cpu 1,2 -run 'Parallel|Deterministic' ./internal/bench/...
-	$(GO) test -race -cpu 1,2 ./internal/neural/... ./internal/mlstm/...
+	$(GO) test -race -cpu 1,2 ./internal/linalg/... ./internal/neural/... ./internal/mlstm/...
 
 # Chaos suite under the race detector: the deterministic fault-injection
 # harness (internal/faults) plants panics, errors and latency spikes by
@@ -101,7 +102,9 @@ serve-smoke:
 # must decode to the same bits, and whatever it declines must reach the
 # fallback untouched. The training kernels are held to the exhaustive
 # code they replaced the same way: the screened SFA split search, the
-# presorted gbdt tree growth and MiniROCKET's bias selection. Plain
+# presorted gbdt tree growth and MiniROCKET's bias selection, the SFA
+# fit from presorted columns, and each amd64 assembly kernel in linalg
+# (convolution, lagged dot products, Adam) against its Go twin. Plain
 # `go test` replays the committed corpora under testdata/fuzz; this
 # target mutates beyond them for FUZZTIME per target. go test -fuzz
 # takes one target and one package per run.
@@ -115,7 +118,11 @@ FUZZ_TARGETS := \
 	./internal/ingest:FuzzDecodeEvent \
 	./internal/sfa:FuzzBestIGSplit \
 	./internal/gbdt:FuzzGrowTree \
-	./internal/minirocket:FuzzOrderStats
+	./internal/minirocket:FuzzOrderStats \
+	./internal/sfa:FuzzFitFromSorted \
+	./internal/linalg:FuzzConvValid \
+	./internal/linalg:FuzzLagDot8 \
+	./internal/linalg:FuzzAdamStep
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
@@ -138,9 +145,16 @@ speedup-gate:
 		./internal/minirocket ./internal/core ./internal/knn
 
 # The benchmark's own module (perfbench/, run by perfbench/run.sh) is
-# outside ./..., so its tests run on their own line.
+# outside ./..., so its tests run on their own line. GOARCH=386 runs
+# natively on an amd64 host and builds the portable (!amd64) Go twins of
+# linalg's assembly kernels, so the training packages are vetted and
+# tested on that path too; the golden tests skip off amd64 by design,
+# the reference and differential tests run.
 test: vet race chaos chaos-serve chaos-ingest chaos-fleet serve-smoke fuzz
 	$(GO) test ./...
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/linalg/... ./internal/neural/... ./internal/logreg/... \
+		./internal/sfa/... ./internal/weasel/... ./internal/algos/...
 	cd perfbench && $(GO) test ./...
 	$(MAKE) speedup-gate
 

@@ -111,45 +111,90 @@ func Train(train *ts.Dataset, n, cvFolds int, seed int64, cfgAt func(i int) weas
 	}
 	assignment := foldAssignment(t.Labels, t.NumClasses, folds, rand.New(rand.NewSource(seed+1)))
 
+	fit, predict := perFitWork(series, t.Labels, t.NumClasses)
+	cfgs := make([]weasel.Config, len(t.Lengths))
+	for i := range cfgs {
+		cfgs[i] = cfgAt(i)
+	}
+	if sameSFA(cfgs) {
+		if sh := weasel.NewShared(series, t.Labels, t.NumClasses, cfgs[0], t.Lengths); sh != nil {
+			fit, predict = sh.Fit, sh.PredictProba
+		}
+	}
+
+	all := make([]int, count)
+	for j := range all {
+		all[j] = j
+	}
 	t.Models = make([]*weasel.Model, len(t.Lengths))
 	t.OOF = make([][][]float64, len(t.Lengths))
 	for i, plen := range t.Lengths {
-		truncated := make([][]float64, count)
-		for j, s := range series {
-			truncated[j] = Prefix(s, plen)
-		}
-		cfg := cfgAt(i)
-		m := weasel.New(cfg)
-		if err := m.FitSeries(truncated, t.Labels, t.NumClasses); err != nil {
+		cfg := cfgs[i]
+		m, err := fit(cfg, all, plen)
+		if err != nil {
 			return nil, fmt.Errorf("prefix %d: %w", plen, err)
 		}
 		t.Models[i] = m
 		probs := make([][]float64, count)
 		for f := 0; f < folds; f++ {
-			var trX [][]float64
-			var trY, teIdx []int
+			var trIdx, teIdx []int
 			for j := range series {
 				if assignment[j] == f {
 					teIdx = append(teIdx, j)
 				} else {
-					trX = append(trX, truncated[j])
-					trY = append(trY, t.Labels[j])
+					trIdx = append(trIdx, j)
 				}
 			}
 			if len(teIdx) == 0 {
 				continue
 			}
-			fm := weasel.New(cfg)
-			if err := fm.FitSeries(trX, trY, t.NumClasses); err != nil {
+			fm, err := fit(cfg, trIdx, plen)
+			if err != nil {
 				return nil, fmt.Errorf("prefix %d fold %d: %w", plen, f, err)
 			}
 			for _, j := range teIdx {
-				probs[j] = fm.PredictProbaSeries(truncated[j])
+				probs[j] = predict(fm, j, plen)
 			}
 		}
 		t.OOF[i] = probs
 	}
 	return t, nil
+}
+
+// sameSFA reports whether every checkpoint's configuration shares its
+// SFA settings, so that one weasel.Shared serves them all.
+func sameSFA(cfgs []weasel.Config) bool {
+	for _, c := range cfgs {
+		if !weasel.SameSFA(c, cfgs[0]) {
+			return false
+		}
+	}
+	return true
+}
+
+// perFitWork fits and predicts each truncated series on its own, for a
+// training set whose checkpoints cannot share their SFA work: series of
+// differing lengths, or SFA settings that change between checkpoints.
+func perFitWork(series [][]float64, labels []int, numClasses int) (
+	fit func(cfg weasel.Config, members []int, plen int) (*weasel.Model, error),
+	predict func(m *weasel.Model, j, plen int) []float64,
+) {
+	fit = func(cfg weasel.Config, members []int, plen int) (*weasel.Model, error) {
+		trX := make([][]float64, len(members))
+		trY := make([]int, len(members))
+		for a, j := range members {
+			trX[a], trY[a] = Prefix(series[j], plen), labels[j]
+		}
+		m := weasel.New(cfg)
+		if err := m.FitSeries(trX, trY, numClasses); err != nil {
+			return nil, err
+		}
+		return m, nil
+	}
+	predict = func(m *weasel.Model, j, plen int) []float64 {
+		return m.PredictProbaSeries(Prefix(series[j], plen))
+	}
+	return fit, predict
 }
 
 // Score replays a fresh trigger from newTrigger over every training

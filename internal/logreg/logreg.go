@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/goetsc/goetsc/internal/linalg"
 	"github.com/goetsc/goetsc/internal/ml"
 	"github.com/goetsc/goetsc/internal/stats"
 )
@@ -155,14 +156,16 @@ func (m *Model) Fit(X [][]float64, y []int, numClasses int) error {
 			step++
 			corr1 := 1 - math.Pow(beta1, float64(step))
 			corr2 := 1 - math.Pow(beta2, float64(step))
+			adam := linalg.AdamConsts{
+				Batch: bs, L2: cfg.L2,
+				Beta1: beta1, OneMinusBeta1: 1 - beta1,
+				Beta2: beta2, OneMinusBeta2: 1 - beta2,
+				LR: cfg.LearningRate, Corr1: corr1, Corr2: corr2, Eps: eps,
+			}
 			for c := 0; c < numClasses; c++ {
-				w := m.weights[c]
-				for j := range w {
-					g := gradW[c][j]/bs + cfg.L2*w[j]
-					mw[c][j] = beta1*mw[c][j] + (1-beta1)*g
-					vw[c][j] = beta2*vw[c][j] + (1-beta2)*g*g
-					w[j] -= cfg.LearningRate * (mw[c][j] / corr1) / (math.Sqrt(vw[c][j]/corr2) + eps)
-				}
+				// The dense weight step, in the expression order
+				// linalg.AdamStep documents.
+				linalg.AdamStep(m.weights[c], mw[c], vw[c], gradW[c], &adam)
 				g := gradB[c] / bs
 				mb[c] = beta1*mb[c] + (1-beta1)*g
 				vb[c] = beta2*vb[c] + (1-beta2)*g*g

@@ -222,7 +222,7 @@ func (m *Model) forwardBackward(instance [][]float64, label int) {
 	g = m.se1.Backward(g)
 	g = m.relu1.Backward(g)
 	g = m.norm1.Backward(g)
-	m.conv1.Backward(g)
+	m.conv1.BackwardParams(g)
 }
 
 // forward computes both branch outputs. With train set they live in

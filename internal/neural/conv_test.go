@@ -1,6 +1,7 @@
 package neural
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -131,6 +132,20 @@ func TestConv1DMatchesReferenceBits(t *testing.T) {
 		{"unit kernel", 2, 3, 1, 6},
 		{"mlstm block 2", 8, 16, 5, 40},
 	}
+	// The MLSTM-FCN Fast blocks and BasicMotions' first block, each at
+	// lengths with whole 16-output interior blocks plus a remainder, and
+	// at T = K−1 (no interior) and T = K (one interior output).
+	for _, s := range []struct {
+		name       string
+		in, out, k int
+	}{{"fast block 1", 1, 8, 8}, {"fast block 2", 8, 16, 5}, {"fast block 3", 16, 8, 3}, {"basicmotions block 1", 6, 8, 8}} {
+		for _, T := range []int{37, 100, s.k - 1, s.k} {
+			cases = append(cases, struct {
+				name          string
+				in, out, k, T int
+			}{fmt.Sprintf("%s T=%d", s.name, T), s.in, s.out, s.k, T})
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, gk := range convGradKinds {
@@ -150,6 +165,9 @@ func checkConvAgainstReference(t *testing.T, in, out, k, T int, fill, poison fun
 	for i := range layer.bias.Val {
 		layer.bias.Val[i] = rng.NormFloat64()
 	}
+	twin := NewConv1D(in, out, k, rand.New(rand.NewSource(0))) // weights copied below
+	copy(twin.weight.Val, layer.weight.Val)
+	copy(twin.bias.Val, layer.bias.Val)
 	// Backward accumulates into Grad; the reference accumulates the
 	// same way across calls.
 	wGrad := make([]float64, len(layer.weight.Grad))
@@ -178,6 +196,13 @@ func checkConvAgainstReference(t *testing.T, in, out, k, T int, fill, poison fun
 		}
 		if !sameBits(layer.bias.Grad, bGrad) {
 			t.Fatalf("call %d bias grad:\n got  %v\n want %v", call, layer.bias.Grad, bGrad)
+		}
+		// BackwardParams accumulates the same parameter gradients
+		// without an input gradient.
+		twin.Forward(x, true)
+		twin.BackwardParams(grad)
+		if !sameBits(twin.weight.Grad, wGrad) || !sameBits(twin.bias.Grad, bGrad) {
+			t.Fatalf("call %d: BackwardParams gradients differ from Backward's", call)
 		}
 	}
 }

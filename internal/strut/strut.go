@@ -162,18 +162,21 @@ func (c *Classifier) Fit(train *ts.Dataset) error {
 
 	// Pick the base variant by validation accuracy at full length (the
 	// harmonic mean is identically zero at t = L and cannot rank
-	// variants).
+	// variants). A base fit is a function of its constructor and data, so
+	// the chosen variant's confusion matrix also scores the t = L grid
+	// point without a second fit.
 	variant := cfg.Variants[0]
+	var fullCM *metrics.ConfusionMatrix
 	if len(cfg.Variants) > 1 {
 		bestScore := -1.0
 		for _, v := range cfg.Variants {
-			score, err := c.scoreWith(v.New, trainX, trainY, valX, valY, c.length, Accuracy)
+			cm, err := c.confusion(v.New, trainX, trainY, valX, valY, c.length)
 			if err != nil {
 				return fmt.Errorf("strut: variant %s: %w", v.Label, err)
 			}
-			if score > bestScore {
+			if score := cm.Accuracy(); score > bestScore {
 				bestScore = score
-				variant = v
+				variant, fullCM = v, cm
 			}
 		}
 	}
@@ -199,10 +202,14 @@ func (c *Classifier) Fit(train *ts.Dataset) error {
 
 	scores := make(map[int]float64, len(candidates))
 	for _, t := range candidates {
-		s, err := c.scoreAt(variant.New, trainX, trainY, valX, valY, t)
-		if err != nil {
-			return fmt.Errorf("strut: truncation %d: %w", t, err)
+		cm := fullCM
+		if t != c.length || cm == nil {
+			var err error
+			if cm, err = c.confusion(variant.New, trainX, trainY, valX, valY, t); err != nil {
+				return fmt.Errorf("strut: truncation %d: %w", t, err)
+			}
 		}
+		s := c.score(cm, t)
 		scores[t] = s
 		c.evalLog = append(c.evalLog, EvalPoint{Length: t, Score: s})
 	}
@@ -225,10 +232,11 @@ func (c *Classifier) Fit(train *ts.Dataset) error {
 		hi := best
 		for hi-lo > 1 {
 			mid := (lo + hi) / 2
-			s, err := c.scoreAt(variant.New, trainX, trainY, valX, valY, mid)
+			cm, err := c.confusion(variant.New, trainX, trainY, valX, valY, mid)
 			if err != nil {
 				return fmt.Errorf("strut: refine %d: %w", mid, err)
 			}
+			s := c.score(cm, mid)
 			c.evalLog = append(c.evalLog, EvalPoint{Length: mid, Score: s})
 			if s >= scores[best]-cfg.Tolerance {
 				hi = mid
@@ -246,29 +254,31 @@ func (c *Classifier) Fit(train *ts.Dataset) error {
 	return c.base.Fit(truncateAll(allX, best), allY, c.numClass)
 }
 
-// scoreAt trains a fresh base on the truncated training split and scores
-// the truncated validation split with the configured metric.
-func (c *Classifier) scoreAt(newBase func() FullTSC, trainX [][][]float64, trainY []int, valX [][][]float64, valY []int, t int) (float64, error) {
-	return c.scoreWith(newBase, trainX, trainY, valX, valY, t, c.cfg.Metric)
-}
-
-func (c *Classifier) scoreWith(newBase func() FullTSC, trainX [][][]float64, trainY []int, valX [][][]float64, valY []int, t int, metric Metric) (float64, error) {
+// confusion trains a fresh base on the training split truncated to t
+// and tallies its predictions on the validation split truncated to t.
+func (c *Classifier) confusion(newBase func() FullTSC, trainX [][][]float64, trainY []int, valX [][][]float64, valY []int, t int) (*metrics.ConfusionMatrix, error) {
 	base := newBase()
 	if err := base.Fit(truncateAll(trainX, t), trainY, c.numClass); err != nil {
-		return 0, err
+		return nil, err
 	}
 	cm := metrics.NewConfusionMatrix(c.numClass)
 	for i, inst := range truncateAll(valX, t) {
 		cm.Add(valY[i], stats.ArgMax(base.PredictProba(inst)))
 	}
-	switch metric {
+	return cm, nil
+}
+
+// score is the configured metric of a validation confusion matrix at
+// truncation t.
+func (c *Classifier) score(cm *metrics.ConfusionMatrix, t int) float64 {
+	switch c.cfg.Metric {
 	case Accuracy:
-		return cm.Accuracy(), nil
+		return cm.Accuracy()
 	case MacroF1:
-		return cm.MacroF1(), nil
+		return cm.MacroF1()
 	default:
 		earl := float64(t) / float64(c.length)
-		return metrics.HarmonicMean(cm.Accuracy(), earl), nil
+		return metrics.HarmonicMean(cm.Accuracy(), earl)
 	}
 }
 

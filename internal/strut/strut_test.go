@@ -1,6 +1,7 @@
 package strut
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -278,5 +279,51 @@ func TestSMLSTMVariantSmoke(t *testing.T) {
 	}
 	if algo.ChosenVariant() != "mlstm-4cells" {
 		t.Fatalf("variant = %q", algo.ChosenVariant())
+	}
+}
+
+// countingBase records the length and size of every training set it is
+// fitted on.
+type countingBase struct {
+	centroid
+	label string
+	fits  *[]string
+}
+
+func (c *countingBase) Fit(X [][][]float64, y []int, numClasses int) error {
+	*c.fits = append(*c.fits, fmt.Sprintf("%s len %d n %d", c.label, len(X[0][0]), len(X)))
+	return c.centroid.Fit(X, y, numClasses)
+}
+
+// TestOneFitPerVariantAndLength checks that with several variants the
+// chosen variant's selection fit at t = L also scores the t = L grid
+// point: every (variant, length) pair of the search is fitted once, and
+// only the final retrain on the whole set repeats a length.
+func TestOneFitPerVariantAndLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	train := divergeDataset(rng, 40, 30, 6)
+	var fits []string
+	variant := func(label string) Variant {
+		return Variant{Label: label, New: func() FullTSC { return &countingBase{label: label, fits: &fits} }}
+	}
+	algo := New(Config{Variants: []Variant{variant("a"), variant("b")}, Seed: 5})
+	if err := algo.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	search := fits[:len(fits)-1]
+	seen := map[string]bool{}
+	for _, f := range search {
+		if seen[f] {
+			t.Fatalf("%q fitted twice in the search: %v", f, fits)
+		}
+		seen[f] = true
+	}
+	// Two selection fits, then the default grid's six lengths less the
+	// full-length one the selection fit already scored.
+	if len(search) != 2+5 {
+		t.Fatalf("%d search fits, want 7: %v", len(search), fits)
+	}
+	if evals := algo.Evaluations(); len(evals) != 6 || evals[5].Length != 30 {
+		t.Fatalf("evaluations %v, want six ending at length 30", evals)
 	}
 }

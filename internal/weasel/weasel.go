@@ -144,60 +144,74 @@ func (m *Model) Fit(instances [][][]float64, labels []int, numClasses int) error
 		}
 	}
 	m.windowSizes = windowSizes(cfg.MinWindow, maxLen, cfg.MaxWindows)
+	return m.fit(len(channels[0]), labels, numClasses, func(ch, w int) ([][][]float64, *sfa.Transform, error) {
+		// One incremental-DFT pass per series: the optimization that
+		// makes WEASEL tractable on wide series.
+		coeffsPer := make([][][]float64, len(channels))
+		for i := range channels {
+			coeffsPer[i] = sfa.SlidingCoefficients(channels[i][ch], w, cfg.WordLength, cfg.SFANorm)
+		}
+		tr, err := fitTransform(coeffsPer, labels, numClasses, cfg)
+		return coeffsPer, tr, err
+	})
+}
 
+// fitStride is the subsampling stride of the windows that fit one SFA
+// transform, when total windows are available.
+func fitStride(total int, cfg Config) int {
+	if total > cfg.MaxFitWindows {
+		return total/cfg.MaxFitWindows + 1
+	}
+	return 1
+}
+
+// fitTransform fits one (channel, window size) SFA transform on every
+// stride-th window of each series.
+func fitTransform(coeffsPer [][][]float64, labels []int, numClasses int, cfg Config) (*sfa.Transform, error) {
+	total := 0
+	for _, c := range coeffsPer {
+		total += len(c)
+	}
+	stride := fitStride(total, cfg)
+	var fitCoeffs [][]float64
+	var fitLabels []int
+	for i, c := range coeffsPer {
+		for k := 0; k < len(c); k += stride {
+			fitCoeffs = append(fitCoeffs, c[k])
+			fitLabels = append(fitLabels, labels[i])
+		}
+	}
+	return sfa.FitFromCoefficients(fitCoeffs, fitLabels, numClasses, sfaConfig(cfg))
+}
+
+func sfaConfig(cfg Config) sfa.Config {
+	return sfa.Config{WordLength: cfg.WordLength, Alphabet: cfg.Alphabet, Norm: cfg.SFANorm}
+}
+
+// fit trains on nInstances instances with nChannels channels each once
+// m.cfg, m.numClasses, m.numVars and m.windowSizes are set. column
+// returns, for one (channel, window size), every instance's sliding
+// coefficient vectors and the SFA transform fitted on them.
+func (m *Model) fit(nChannels int, labels []int, numClasses int, column func(ch, w int) ([][][]float64, *sfa.Transform, error)) error {
+	cfg := m.cfg
 	// Fit one SFA transform per (channel, window size) and build the
-	// training bags in the same pass. Sliding-window Fourier values are
-	// computed once per series with the incremental ("momentary") DFT —
-	// the optimization that makes WEASEL tractable on wide series.
-	nChannels := len(channels[0])
+	// training bags in the same pass.
 	m.transforms = make(map[chanWin]*sfa.Transform)
-	bags := make([]map[featKey]float64, len(channels))
+	bags := make([]map[featKey]float64, len(labels))
 	for i := range bags {
 		bags[i] = make(map[featKey]float64)
 	}
+	var words []uint64
 	for ch := 0; ch < nChannels; ch++ {
 		for _, w := range m.windowSizes {
-			// One incremental-DFT pass per series.
-			coeffsPer := make([][][]float64, len(channels))
-			total := 0
-			for i := range channels {
-				coeffsPer[i] = sfa.SlidingCoefficients(channels[i][ch], w, cfg.WordLength, cfg.SFANorm)
-				total += len(coeffsPer[i])
-			}
-			// Subsampled boundary fitting.
-			stride := 1
-			if total > cfg.MaxFitWindows {
-				stride = total/cfg.MaxFitWindows + 1
-			}
-			var fitCoeffs [][]float64
-			var fitLabels []int
-			for i := range channels {
-				for k := 0; k < len(coeffsPer[i]); k += stride {
-					fitCoeffs = append(fitCoeffs, coeffsPer[i][k])
-					fitLabels = append(fitLabels, labels[i])
-				}
-			}
-			tr, err := sfa.FitFromCoefficients(fitCoeffs, fitLabels, numClasses, sfa.Config{
-				WordLength: cfg.WordLength,
-				Alphabet:   cfg.Alphabet,
-				Norm:       cfg.SFANorm,
-			})
+			coeffsPer, tr, err := column(ch, w)
 			if err != nil {
 				return fmt.Errorf("weasel: channel %d window %d: %w", ch, w, err)
 			}
 			m.transforms[chanWin{ch, w}] = tr
 			// Words + bags from the same coefficient vectors.
-			for i := range channels {
-				words := make([]uint64, len(coeffsPer[i]))
-				for k, c := range coeffsPer[i] {
-					words[k] = tr.WordFromCoefficients(c)
-					bags[i][featKey{channel: ch, window: w, w1: words[k]}]++
-				}
-				if !cfg.NoBigrams {
-					for k := w; k < len(words); k++ {
-						bags[i][featKey{channel: ch, window: w, bigram: true, w1: words[k-w], w2: words[k]}]++
-					}
-				}
+			for i, coeffs := range coeffsPer {
+				words = m.addWords(bags[i], ch, w, tr, coeffs, words)
 			}
 		}
 	}
@@ -206,7 +220,7 @@ func (m *Model) Fit(instances [][][]float64, labels []int, numClasses int) error
 	// selection.
 	classTotals := make([]float64, numClasses)
 	featClassCounts := make(map[featKey][]float64)
-	for i := range channels {
+	for i := range bags {
 		classTotals[labels[i]]++
 		for k := range bags[i] {
 			counts, ok := featClassCounts[k]
@@ -265,8 +279,8 @@ func (m *Model) Fit(instances [][][]float64, labels []int, numClasses int) error
 	}
 
 	// Train the linear head on the selected features.
-	X := make([][]float64, len(channels))
-	for i := range channels {
+	X := make([][]float64, len(bags))
+	for i := range bags {
 		X[i] = m.vector(bags[i])
 	}
 	m.head = logreg.New(cfg.LogReg)
@@ -326,26 +340,47 @@ func (m *Model) channelSeries(instance [][]float64) [][]float64 {
 // bag computes the bag-of-patterns of one instance's channels using the
 // incremental sliding DFT.
 func (m *Model) bag(channels [][]float64) map[featKey]float64 {
+	return m.bagOf(len(channels), func(ch, w int) [][]float64 {
+		return sfa.SlidingCoefficients(channels[ch], w, m.cfg.WordLength, m.cfg.SFANorm)
+	})
+}
+
+// bagOf is the bag-of-patterns of one instance with nChannels channels,
+// whose sliding coefficient vectors coeffs returns per (channel, window
+// size). Coefficient vectors longer than a transform's word length give
+// the same word as the shorter ones it was fitted with: each Fourier
+// value is computed on its own.
+func (m *Model) bagOf(nChannels int, coeffs func(ch, w int) [][]float64) map[featKey]float64 {
 	bag := make(map[featKey]float64)
-	for ch, series := range channels {
+	var words []uint64
+	for ch := 0; ch < nChannels; ch++ {
 		for _, w := range m.windowSizes {
 			tr, ok := m.transforms[chanWin{ch, w}]
 			if !ok {
 				continue
 			}
-			words := tr.WordsSliding(series, w)
-			for _, word := range words {
-				bag[featKey{channel: ch, window: w, w1: word}]++
-			}
-			if !m.cfg.NoBigrams {
-				// Bigram = words one full window apart.
-				for i := w; i < len(words); i++ {
-					bag[featKey{channel: ch, window: w, bigram: true, w1: words[i-w], w2: words[i]}]++
-				}
-			}
+			words = m.addWords(bag, ch, w, tr, coeffs(ch, w), words)
 		}
 	}
 	return bag
+}
+
+// addWords adds the unigram word of each coefficient vector, and unless
+// NoBigrams the bigram of each pair of words one full window apart, to
+// bag. It returns words, the buffer it symbolized into.
+func (m *Model) addWords(bag map[featKey]float64, ch, w int, tr *sfa.Transform, coeffs [][]float64, words []uint64) []uint64 {
+	words = words[:0]
+	for _, c := range coeffs {
+		word := tr.WordFromCoefficients(c)
+		words = append(words, word)
+		bag[featKey{channel: ch, window: w, w1: word}]++
+	}
+	if !m.cfg.NoBigrams {
+		for i := w; i < len(words); i++ {
+			bag[featKey{channel: ch, window: w, bigram: true, w1: words[i-w], w2: words[i]}]++
+		}
+	}
+	return words
 }
 
 // vector projects a bag onto the selected vocabulary.
