@@ -88,7 +88,9 @@ type Trained struct {
 // at each, a WEASEL model (configured by cfgAt) on the whole set and one
 // per internal cross-validation fold. The stratified folds are drawn once
 // at seed+1 and shared by every checkpoint, so an instance's out-of-fold
-// probability sequence is coherent across checkpoints.
+// probability sequence is coherent across checkpoints. When the series
+// share a length and every checkpoint the same SFA settings, all fits
+// and predictions share one weasel.Shared, with the same results.
 func Train(train *ts.Dataset, n, cvFolds int, seed int64, cfgAt func(i int) weasel.Config) (*Trained, error) {
 	if train.NumVars() != 1 {
 		return nil, fmt.Errorf("univariate algorithm got %d variables (use the voting wrapper)", train.NumVars())

@@ -12,28 +12,19 @@ import "math"
 // kernel to its twin bit for bit; only the payload of a NaN that meets
 // another NaN is left open, as Go leaves it open for the scalar code.
 
-// convBlock is how many consecutive outputs the assembly ConvValid holds
-// in registers at once.
-const convBlock = 16
-
 // ConvValid sets dst[j] = bias + Σ_c Σ_k w[c·K+k]·xs[c][j+k] for every j
 // in dst, with K = len(w)/len(xs): a "valid" multi-channel correlation
 // with every tap in range. Each output starts at bias and adds its terms
-// in (c, k) order. Every xs[c] must hold len(dst)+K−1 values.
+// in (c, k) order. xs must hold at least one row, w at least one tap
+// per row, and every xs[c] len(dst)+K−1 values.
 func ConvValid(dst []float64, bias float64, w []float64, xs [][]float64) {
 	if len(dst) == 0 {
 		return
 	}
-	if len(xs) == 0 {
-		for j := range dst {
-			dst[j] = bias
-		}
-		return
+	if len(xs) == 0 || len(w) < len(xs) {
+		panic("linalg: ConvValid needs a row and a tap per row")
 	}
 	k := len(w) / len(xs)
-	if k == 0 {
-		panic("linalg: ConvValid needs at least one tap per row")
-	}
 	for _, x := range xs {
 		if len(x) < len(dst)+k-1 {
 			panic("linalg: ConvValid row shorter than len(dst)+K-1")

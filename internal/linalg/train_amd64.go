@@ -1,5 +1,9 @@
 package linalg
 
+// convBlock is how many consecutive outputs convValid16 holds in
+// registers at once.
+const convBlock = 16
+
 // convValid16 is ConvValid over blocks of convBlock outputs; the last
 // block overlaps the one before it when len(dst) is not a multiple of
 // convBlock. It needs len(dst) >= convBlock, len(xs) >= 1 and k >= 1.

@@ -128,18 +128,6 @@ func extract(re, im []float64, bins, nValues int, drop bool) []float64 {
 	return out
 }
 
-// WordsSliding symbolizes every sliding window of size w of the series,
-// using the incremental DFT. It is equivalent to calling Word on each
-// window of Windows(series, w) but asymptotically cheaper.
-func (t *Transform) WordsSliding(series []float64, w int) []uint64 {
-	coeffs := SlidingCoefficients(series, w, t.cfg.WordLength, t.cfg.Norm)
-	out := make([]uint64, len(coeffs))
-	for i, c := range coeffs {
-		out[i] = t.WordFromCoefficients(c)
-	}
-	return out
-}
-
 // WordFromCoefficients discretizes a precomputed coefficient vector.
 func (t *Transform) WordFromCoefficients(c []float64) uint64 {
 	var word uint64

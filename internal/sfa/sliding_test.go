@@ -67,6 +67,9 @@ func TestSlidingShortSeries(t *testing.T) {
 	}
 }
 
+// TestWordsSlidingMatchesWordPerWindow checks the words WEASEL builds
+// its bags from, one per sliding coefficient vector, against Word on
+// each window.
 func TestWordsSlidingMatchesWordPerWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var windows [][]float64
@@ -88,7 +91,10 @@ func TestWordsSlidingMatchesWordPerWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range series[:5] {
-		fast := tr.WordsSliding(s, 8)
+		var fast []uint64
+		for _, c := range SlidingCoefficients(s, 8, tr.WordLength(), false) {
+			fast = append(fast, tr.WordFromCoefficients(c))
+		}
 		wins := Windows(s, 8)
 		if len(fast) != len(wins) {
 			t.Fatalf("word counts differ: %d vs %d", len(fast), len(wins))

@@ -35,7 +35,8 @@ type Shared struct {
 	series     [][][]float64 // [series][channel] at full length
 	cols       map[chanWin]*sharedColumn
 
-	// Buffers of the sorted-column fits.
+	// Buffers of the sorted-column fits; a column has at most
+	// WordLength positions.
 	member []bool
 	values [][]float64
 	lbls   [][]int
@@ -82,6 +83,8 @@ func NewShared(series [][]float64, labels []int, numClasses int, cfg Config, len
 		series:     make([][][]float64, len(series)),
 		cols:       map[chanWin]*sharedColumn{},
 		member:     make([]bool, len(series)),
+		values:     make([][]float64, cfg.WordLength),
+		lbls:       make([][]int, cfg.WordLength),
 	}
 	expand := &Model{cfg: cfg}
 	for i, s := range series {
@@ -227,8 +230,6 @@ func (sh *Shared) fitSorted(col *sharedColumn, members []int, nWin int) (*sfa.Tr
 		sh.member[i] = true
 	}
 	defer clear(sh.member)
-	sh.values = grow2(sh.values, len(col.sorted))
-	sh.lbls = grow2(sh.lbls, len(col.sorted))
 	limit := int32(nWin)
 	for pos, sp := range col.sorted {
 		vals, lbls := sh.values[pos][:0], sh.lbls[pos][:0]
@@ -244,14 +245,6 @@ func (sh *Shared) fitSorted(col *sharedColumn, members []int, nWin int) (*sfa.Tr
 		sh.values[pos], sh.lbls[pos] = vals, lbls
 	}
 	return sfa.FitFromSorted(sh.values[:len(col.sorted)], sh.lbls[:len(col.sorted)], sh.numClasses, sfaConfig(sh.cfg))
-}
-
-// grow2 returns s with at least n rows.
-func grow2[E any](s [][]E, n int) [][]E {
-	for len(s) < n {
-		s = append(s, nil)
-	}
-	return s
 }
 
 // PredictProba is m.PredictProbaSeries on series i's prefix of length

@@ -188,7 +188,7 @@ func sfaConfig(cfg Config) sfa.Config {
 	return sfa.Config{WordLength: cfg.WordLength, Alphabet: cfg.Alphabet, Norm: cfg.SFANorm}
 }
 
-// fit trains on nInstances instances with nChannels channels each once
+// fit trains on len(labels) instances of nChannels channels each, once
 // m.cfg, m.numClasses, m.numVars and m.windowSizes are set. column
 // returns, for one (channel, window size), every instance's sliding
 // coefficient vectors and the SFA transform fitted on them.
