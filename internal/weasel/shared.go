@@ -19,7 +19,9 @@ import (
 // that uses it, and every fit and prediction reads a slice of it. It
 // also sorts each coefficient position once over every series' windows;
 // a fit keeps its own windows from that order instead of sorting them
-// again (sfa.FitFromSorted says why the result is the same).
+// again (sfa.FitFromSorted says why the result is the same). A column
+// is built on first use and released once no longer prefix uses it, so
+// only the current checkpoint's window sizes are held at a time.
 //
 // Where a prefix is not longer than a window, it has a single truncated
 // window, which is not a prefix of the longer series' windows: those
@@ -33,7 +35,14 @@ type Shared struct {
 	numClasses int
 	labels     []int
 	series     [][][]float64 // [series][channel] at full length
+
+	// need[cw] is how many windows per series the longest prefix that
+	// uses (channel, window size) cw reads, and last[cw] that prefix's
+	// length. cols holds the columns built so far for prefixes of
+	// length plen and longer.
+	need, last map[chanWin]int
 	cols       map[chanWin]*sharedColumn
+	plen       int
 
 	// Buffers of the sorted-column fits; a column has at most
 	// WordLength positions.
@@ -81,6 +90,8 @@ func NewShared(series [][]float64, labels []int, numClasses int, cfg Config, len
 		numClasses: numClasses,
 		labels:     labels,
 		series:     make([][][]float64, len(series)),
+		need:       map[chanWin]int{},
+		last:       map[chanWin]int{},
 		cols:       map[chanWin]*sharedColumn{},
 		member:     make([]bool, len(series)),
 		values:     make([][]float64, cfg.WordLength),
@@ -90,33 +101,48 @@ func NewShared(series [][]float64, labels []int, numClasses int, cfg Config, len
 	for i, s := range series {
 		sh.series[i] = expand.channelSeries([][]float64{s})
 	}
-	// Windows per series that the longest prefix using each pair needs.
-	need := map[chanWin]int{}
-	var order []chanWin
 	for _, plen := range lengths {
 		for _, w := range sh.windowSizes(plen) {
 			for ch := range sh.series[0] {
-				n := sh.channelLen(ch, plen)
-				if n <= w {
-					continue
+				if n := sh.channelLen(ch, plen); n > w && n-w+1 > sh.need[chanWin{ch, w}] {
+					sh.need[chanWin{ch, w}], sh.last[chanWin{ch, w}] = n-w+1, plen
 				}
-				cw := chanWin{ch, w}
-				if _, ok := need[cw]; !ok {
-					order = append(order, cw)
-				}
-				need[cw] = max(need[cw], n-w+1)
 			}
 		}
-	}
-	for _, cw := range order {
-		sh.cols[cw] = sh.column(cw, need[cw])
 	}
 	return sh
 }
 
-// column computes nWin windows of (channel, window size) cw for every
+// column returns the shared (channel, window size) column for prefixes
+// of length plen, built on first use, or nil when the prefix is not
+// longer than the window or longer than any length NewShared was given.
+// A call for a new plen first releases the columns no prefix from plen
+// on uses: checkpoints run in ascending length, so a column lives only
+// as long as its checkpoints, and a caller that goes back rebuilds it.
+func (sh *Shared) column(ch, w, plen int) *sharedColumn {
+	if plen != sh.plen {
+		for cw := range sh.cols {
+			if sh.last[cw] < plen {
+				delete(sh.cols, cw)
+			}
+		}
+		sh.plen = plen
+	}
+	cw := chanWin{ch, w}
+	if n := sh.channelLen(ch, plen); n <= w || n-w+1 > sh.need[cw] {
+		return nil
+	}
+	col := sh.cols[cw]
+	if col == nil {
+		col = sh.build(cw, sh.need[cw])
+		sh.cols[cw] = col
+	}
+	return col
+}
+
+// build computes nWin windows of (channel, window size) cw for every
 // series and sorts each position over all of them.
-func (sh *Shared) column(cw chanWin, nWin int) *sharedColumn {
+func (sh *Shared) build(cw chanWin, nWin int) *sharedColumn {
 	col := &sharedColumn{coeffs: make([][][]float64, len(sh.series))}
 	pool := make([][]float64, 0, len(sh.series)*nWin)
 	for i, chans := range sh.series {
@@ -172,16 +198,16 @@ func (sh *Shared) channel(i, ch, plen int) []float64 {
 // coeffs returns the sliding coefficient vectors of (channel, window
 // size) for series i's prefix of length plen.
 func (sh *Shared) coeffs(i, ch, w, plen int) [][]float64 {
-	n := sh.channelLen(ch, plen)
-	if col := sh.cols[chanWin{ch, w}]; col != nil && n > w {
-		return col.coeffs[i][:n-w+1]
+	if col := sh.column(ch, w, plen); col != nil {
+		return col.coeffs[i][:sh.channelLen(ch, plen)-w+1]
 	}
 	return sfa.SlidingCoefficients(sh.channel(i, ch, plen), w, sh.cfg.WordLength, sh.cfg.SFANorm)
 }
 
 // Fit is New(cfg).FitSeries on the prefixes of length plen of the
-// member series (ascending indices). plen must be one of the lengths
-// NewShared was given, and cfg must share its SFA settings.
+// member series (ascending indices); cfg must share the SFA settings
+// NewShared was given. A plen that is not one of NewShared's lengths
+// takes the per-fit path where its windows outrun the shared columns.
 func (sh *Shared) Fit(cfg Config, members []int, plen int) (*Model, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("weasel: no instances")
@@ -206,13 +232,12 @@ func (sh *Shared) Fit(cfg Config, members []int, plen int) (*Model, error) {
 		for a, i := range members {
 			coeffsPer[a] = sh.coeffs(i, ch, w, plen)
 		}
-		col := sh.cols[chanWin{ch, w}]
-		n := sh.channelLen(ch, plen)
-		if col == nil || col.sorted == nil || n <= w {
+		col := sh.column(ch, w, plen)
+		if col == nil || col.sorted == nil {
 			tr, err := fitTransform(coeffsPer, labels, sh.numClasses, m.cfg)
 			return coeffsPer, tr, err
 		}
-		tr, err := sh.fitSorted(col, members, n-w+1)
+		tr, err := sh.fitSorted(col, members, sh.channelLen(ch, plen)-w+1)
 		return coeffsPer, tr, err
 	})
 	if err != nil {
