@@ -102,8 +102,9 @@ serve-smoke:
 # must decode to the same bits, and whatever it declines must reach the
 # fallback untouched. The training kernels are held to the exhaustive
 # code they replaced the same way: the screened SFA split search, the
-# presorted gbdt tree growth and MiniROCKET's bias selection, the SFA
-# fit from presorted columns, and each amd64 assembly kernel in linalg
+# presorted gbdt tree growth, MiniROCKET's bias selection and PPV
+# pooling (against the naive positive count), the SFA fit from
+# presorted columns, and each amd64 assembly kernel in linalg
 # (convolution, lagged dot products, Adam) against its Go twin. Plain
 # `go test` replays the committed corpora under testdata/fuzz; this
 # target mutates beyond them for FUZZTIME per target. go test -fuzz
@@ -119,6 +120,7 @@ FUZZ_TARGETS := \
 	./internal/sfa:FuzzBestIGSplit \
 	./internal/gbdt:FuzzGrowTree \
 	./internal/minirocket:FuzzOrderStats \
+	./internal/minirocket:FuzzAppendPPV \
 	./internal/sfa:FuzzFitFromSorted \
 	./internal/linalg:FuzzConvValid \
 	./internal/linalg:FuzzLagDot8 \

@@ -47,19 +47,24 @@ func selectPositions(a []float64, lo, hi int, pos []int, depth int) {
 		}
 		depth--
 		p := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
-		lt, i, gt := lo, lo, hi
-		for i < gt {
-			switch v := a[i]; {
-			case v < p:
-				a[lt], a[i] = v, a[lt]
-				lt++
-				i++
-			case v > p:
-				gt--
-				a[i], a[gt] = a[gt], v
-			default:
-				i++
-			}
+		// Two branch-free Lomuto passes: the first moves the values
+		// below p to the front, the second the values equal to p to the
+		// front of the rest. Each swaps a[i] with the first value not
+		// yet moved and advances that boundary by the comparison's
+		// outcome, so no branch depends on the data.
+		lt := lo
+		for i := lo; i < hi; i++ {
+			v := a[i]
+			a[i] = a[lt]
+			a[lt] = v
+			lt += b2i(v < p)
+		}
+		gt := lt
+		for i := lt; i < hi; i++ {
+			v := a[i]
+			a[i] = a[gt]
+			a[gt] = v
+			gt += b2i(v <= p)
 		}
 		// a[lo:lt] < p, a[lt:gt] == p, a[gt:hi] > p.
 		below := sort.SearchInts(pos, lt)

@@ -6,6 +6,34 @@ import (
 	"testing"
 )
 
+// fuzzFloats decodes one value per byte: 251 to 255 stand for −Inf, +Inf,
+// +0, −0 and NaN, the rest for levels distinct finite values on a grid
+// (all 251 when levels is 0; few levels make long runs of duplicates).
+func fuzzFloats(data []byte, levels uint8) []float64 {
+	out := make([]float64, len(data))
+	for i, b := range data {
+		switch b {
+		case 255:
+			out[i] = math.NaN()
+		case 254:
+			out[i] = math.Copysign(0, -1)
+		case 253:
+			out[i] = 0
+		case 252:
+			out[i] = math.Inf(1)
+		case 251:
+			out[i] = math.Inf(-1)
+		default:
+			v := int(b)
+			if levels != 0 {
+				v %= int(levels)
+			}
+			out[i] = float64(v)*0.75 - 20
+		}
+	}
+	return out
+}
+
 // FuzzOrderStats holds orderStats to sort.Float64s followed by indexing,
 // bit for bit. Each byte of data is one pool value: a few bytes stand for
 // NaN, −0, +0 and ±Inf (so both fallbacks and the selection run), the
@@ -18,27 +46,7 @@ func FuzzOrderStats(f *testing.F) {
 		if len(data) == 0 || len(at) == 0 || len(data) > 4096 {
 			return
 		}
-		pool := make([]float64, len(data))
-		for i, b := range data {
-			switch b {
-			case 255:
-				pool[i] = math.NaN()
-			case 254:
-				pool[i] = math.Copysign(0, -1)
-			case 253:
-				pool[i] = 0
-			case 252:
-				pool[i] = math.Inf(1)
-			case 251:
-				pool[i] = math.Inf(-1)
-			default:
-				v := int(b)
-				if levels != 0 {
-					v %= int(levels)
-				}
-				pool[i] = float64(v)*0.75 - 20
-			}
-		}
+		pool := fuzzFloats(data, levels)
 		pos := make([]int, len(at))
 		for b, x := range at {
 			pos[b] = int(x) * len(pool) / 256

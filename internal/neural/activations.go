@@ -5,13 +5,25 @@ import (
 	"math/rand"
 )
 
-// ReLU applies max(0, x) element-wise on [channels][time] activations.
+// ReLU applies max(0, x) element-wise on [channels][time] activations:
+// v > 0 keeps v, and everything else, −0 and NaN included, gives +0.
 type ReLU struct {
-	mask    [][]bool
+	mask    [][]uint64  // all ones where the input was > 0, else zero
 	out, dx [][]float64 // training-path buffers
 }
 
-// Forward clamps negatives to zero.
+// positive returns all ones when v > 0 and zero otherwise, NaN included.
+// The compiler makes the test a conditional move, so the ReLU loops keep
+// a mask select and no data-dependent branch.
+func positive(v float64) uint64 {
+	var m uint64
+	if v > 0 {
+		m = ^uint64(0)
+	}
+	return m
+}
+
+// Forward clamps everything but positive values to +0.
 func (r *ReLU) Forward(x [][]float64, train bool) [][]float64 {
 	y := scratch(&r.out, train, len(x), len(x[0]))
 	if train {
@@ -19,34 +31,30 @@ func (r *ReLU) Forward(x [][]float64, train bool) [][]float64 {
 	}
 	for c, xc := range x {
 		yc := y[c][:len(xc)]
-		for t, v := range xc {
-			if v > 0 {
-				yc[t] = v
-			} else {
-				yc[t] = 0
-			}
-		}
-		if train {
-			mc := r.mask[c][:len(xc)]
+		if !train {
 			for t, v := range xc {
-				mc[t] = v > 0
+				yc[t] = math.Float64frombits(math.Float64bits(v) & positive(v))
 			}
+			continue
+		}
+		mc := r.mask[c][:len(xc)]
+		for t, v := range xc {
+			m := positive(v)
+			mc[t] = m
+			yc[t] = math.Float64frombits(math.Float64bits(v) & m)
 		}
 	}
 	return y
 }
 
-// Backward zeroes gradients where the input was negative.
+// Backward passes each gradient where the input was positive and writes
+// +0 elsewhere.
 func (r *ReLU) Backward(grad [][]float64) [][]float64 {
 	dx := scratch(&r.dx, true, len(grad), len(grad[0]))
 	for c, gc := range grad {
 		mask, dc := r.mask[c][:len(gc)], dx[c][:len(gc)]
 		for t, g := range gc {
-			if mask[t] {
-				dc[t] = g
-			} else {
-				dc[t] = 0
-			}
+			dc[t] = math.Float64frombits(math.Float64bits(g) & mask[t])
 		}
 	}
 	return dx

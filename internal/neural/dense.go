@@ -78,13 +78,12 @@ func (g *GlobalAvgPool) Forward(x [][]float64, train bool) []float64 {
 		g.channels = len(x)
 		g.timePoints = len(x[0])
 	}
+	T := len(x[0])
 	out := scratchVec(&g.out, train, len(x))
-	for c := range x {
-		var sum float64
-		for _, v := range x[c] {
-			sum += v
-		}
-		out[c] = sum / float64(len(x[c]))
+	clear(out)
+	addRowSums(out, x, T)
+	for c := range out {
+		out[c] /= float64(T)
 	}
 	return out
 }
@@ -94,8 +93,9 @@ func (g *GlobalAvgPool) Backward(grad []float64) [][]float64 {
 	dx := scratch(&g.dx, true, g.channels, g.timePoints)
 	for c := 0; c < g.channels; c++ {
 		share := grad[c] / float64(g.timePoints)
-		for t := 0; t < g.timePoints; t++ {
-			dx[c][t] = share
+		dxc := dx[c][:g.timePoints]
+		for t := range dxc {
+			dxc[t] = share
 		}
 	}
 	return dx

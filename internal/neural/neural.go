@@ -144,6 +144,33 @@ func scratchVec(buf *[]float64, train bool, n int) []float64 {
 	return *buf
 }
 
+// lanes returns the rows a four-row pass starting at row r handles: r to
+// r+3, with any past the last row n−1 clamped to it. A short last pass
+// then recomputes row n−1 from the same inputs and stores the same value,
+// so it needs no loop of its own.
+func lanes(r, n int) (int, int, int, int) {
+	return r, min(r+1, n-1), min(r+2, n-1), min(r+3, n-1)
+}
+
+// addRowSums adds the first T entries of each row, in ascending order, to
+// acc[r]. Four rows run side by side, so their sums do not wait on one
+// another; each row's sum is the one a loop over that row alone makes.
+func addRowSums(acc []float64, rows [][]float64, T int) {
+	for r := 0; r < len(rows); r += 4 {
+		r0, r1, r2, r3 := lanes(r, len(rows))
+		x0 := rows[r0][:T]
+		x1, x2, x3 := rows[r1][:len(x0)], rows[r2][:len(x0)], rows[r3][:len(x0)]
+		s0, s1, s2, s3 := acc[r0], acc[r1], acc[r2], acc[r3]
+		for t, v := range x0 {
+			s0 += v
+			s1 += x1[t]
+			s2 += x2[t]
+			s3 += x3[t]
+		}
+		acc[r0], acc[r1], acc[r2], acc[r3] = s0, s1, s2, s3
+	}
+}
+
 // clearRows zeroes every row of m.
 func clearRows(m [][]float64) {
 	for _, row := range m {

@@ -40,12 +40,10 @@ func NewSqueezeExcite(channels, ratio int, rng *rand.Rand) *SqueezeExcite {
 func (s *SqueezeExcite) Forward(x [][]float64, train bool) [][]float64 {
 	T := len(x[0])
 	squeeze := scratchVec(&s.squeeze, train, s.Channels)
-	for c := range x {
-		var sum float64
-		for _, v := range x[c] {
-			sum += v
-		}
-		squeeze[c] = sum / float64(T)
+	clear(squeeze)
+	addRowSums(squeeze, x, T)
+	for c := range squeeze {
+		squeeze[c] /= float64(T)
 	}
 	pre := s.fc1.ForwardVec(squeeze, train)
 	hid := scratchVec(&s.hid, train, len(pre))
@@ -83,16 +81,29 @@ func (s *SqueezeExcite) Backward(grad [][]float64) [][]float64 {
 	T := s.timeN
 	dx := scratch(&s.dx, true, s.Channels, T)
 	dPreGate := scratchVec(&s.dPreGate, true, s.Channels)
+	// dGate[c] = Σ_t dy·x, four channels side by side.
+	for c := 0; c < s.Channels; c += 4 {
+		c0, c1, c2, c3 := lanes(c, s.Channels)
+		g0 := grad[c0][:T]
+		g1, g2, g3 := grad[c1][:len(g0)], grad[c2][:len(g0)], grad[c3][:len(g0)]
+		x0, x1, x2, x3 := s.x[c0][:len(g0)], s.x[c1][:len(g0)], s.x[c2][:len(g0)], s.x[c3][:len(g0)]
+		var d0, d1, d2, d3 float64
+		for t, dy := range g0 {
+			d0 += dy * x0[t]
+			d1 += g1[t] * x1[t]
+			d2 += g2[t] * x2[t]
+			d3 += g3[t] * x3[t]
+		}
+		dPreGate[c0], dPreGate[c1], dPreGate[c2], dPreGate[c3] = d0, d1, d2, d3
+	}
 	for c := 0; c < s.Channels; c++ {
 		g := s.gate[c]
-		var dGate float64
-		for t := 0; t < T; t++ {
-			dy := grad[c][t]
-			dx[c][t] = dy * g
-			dGate += dy * s.x[c][t]
+		dxc := dx[c][:T]
+		for t, dy := range grad[c][:T] {
+			dxc[t] = dy * g
 		}
 		// Through the sigmoid.
-		dPreGate[c] = dGate * g * (1 - g)
+		dPreGate[c] = dPreGate[c] * g * (1 - g)
 	}
 	dHid := s.fc2.BackwardVec(dPreGate)
 	// Through the bottleneck ReLU.
@@ -108,8 +119,9 @@ func (s *SqueezeExcite) Backward(grad [][]float64) [][]float64 {
 	// Through the global average pool.
 	for c := 0; c < s.Channels; c++ {
 		share := dSqueeze[c] / float64(T)
-		for t := 0; t < T; t++ {
-			dx[c][t] += share
+		dxc := dx[c][:T]
+		for t := range dxc {
+			dxc[t] += share
 		}
 	}
 	return dx
