@@ -27,9 +27,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/transcrip
 
 const goldenPath = "testdata/transcript.golden"
 
-// transcriptAlgos are the algorithms built on per-prefix WEASEL
-// checkpoints.
-var transcriptAlgos = []string{"ECEC", "TEASER", "SR"}
+// transcriptAlgos are the algorithms that decide at prefix checkpoints:
+// the three on per-prefix WEASEL models and ECO-K on per-prefix boosted
+// trees.
+var transcriptAlgos = []string{"ECEC", "TEASER", "SR", "ECO-K"}
 
 // overlapDataset draws n noisy instances whose classes separate only
 // after a variable-specific onset, so stopping rules see disagreeing and
@@ -106,7 +107,7 @@ func transcript(t *testing.T, algo core.EarlyClassifier, prefix string, probes [
 }
 
 // TestTranscriptGolden pins every streamed decision of the checkpoint
-// algorithms (ECEC, TEASER, SR) with the Fast preset, on a univariate and
+// algorithms (ECEC, TEASER, SR, ECO-K) with the Fast preset, on a univariate and
 // a 2-variable dataset (through the voting wrapper), for full-length
 // probes and probes shorter than the first and the last checkpoint. The
 // same transcript must come back from a model that went through a
@@ -116,7 +117,7 @@ func TestTranscriptGolden(t *testing.T) {
 		t.Skipf("golden decisions were recorded on amd64, not %s", runtime.GOARCH)
 	}
 	if testing.Short() {
-		t.Skip("trains three algorithms on two datasets")
+		t.Skip("trains four algorithms on two datasets")
 	}
 	datasets := []*ts.Dataset{
 		overlapDataset("transcript-uni", 1, 3, 30, 36, 41),
