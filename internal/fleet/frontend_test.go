@@ -78,6 +78,9 @@ func TestFleetFrontEndMatchesReplica(t *testing.T) {
 		{name: "duplicate session_id", method: http.MethodPost, path: "/v1/sessions",
 			setup: func(t *testing.T, h http.Handler, _ func()) { createS1(t, h) },
 			body:  `{"model":"ects","session_id":"s1"}`, wantStatus: http.StatusConflict},
+		{name: "duplicate session_id unknown model", method: http.MethodPost, path: "/v1/sessions",
+			setup: func(t *testing.T, h http.Handler, _ func()) { createS1(t, h) },
+			body:  `{"model":"nope","session_id":"s1"}`, wantStatus: http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,5 +100,40 @@ func TestFleetFrontEndMatchesReplica(t *testing.T) {
 				t.Errorf("router answered\n  %+v\nreplica answered\n  %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestDuplicateCreateRebuildsLostSession: a create naming a pinned
+// session whose owner has lost it answers 409, and the owner holds the
+// session again, with every logged point, once the answer is out.
+func TestDuplicateCreateRebuildsLostSession(t *testing.T) {
+	rt, _, servers, _ := newFleet(t, 2, Config{})
+	fleetH := rt.Handler()
+	do := func(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := do(fleetH, http.MethodPost, "/v1/sessions", `{"model":"ects","session_id":"s1"}`); rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do(fleetH, http.MethodPost, "/v1/sessions/s1/points", `{"values":[[0.5,0.52]]}`); rec.Code != http.StatusOK {
+		t.Fatalf("points = %d: %s", rec.Code, rec.Body)
+	}
+	owner := servers[0].Handler()
+	if rt.owner("s1").id == "r1" {
+		owner = servers[1].Handler()
+	}
+	before := do(owner, http.MethodGet, "/v1/sessions/s1", "").Body.String()
+	if rec := do(owner, http.MethodDelete, "/v1/sessions/s1", ""); rec.Code != http.StatusNoContent {
+		t.Fatalf("replica delete = %d: %s", rec.Code, rec.Body)
+	}
+	if a := frontDo(t, fleetH, http.MethodPost, "/v1/sessions", `{"model":"ects","session_id":"s1"}`); a.Status != http.StatusConflict || a.Kind != "session_exists" {
+		t.Fatalf("duplicate create answered %+v, want 409 session_exists", a)
+	}
+	if after := do(owner, http.MethodGet, "/v1/sessions/s1", "").Body.String(); after != before {
+		t.Fatalf("owner's session after the duplicate create:\n %s\nbefore it was lost:\n %s", after, before)
 	}
 }

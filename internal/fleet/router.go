@@ -614,12 +614,12 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request, fi
 		}
 	}
 	fi.session = id
-	if rt.pin(id) != nil {
-		return serve.Errorf(http.StatusConflict, "session_exists", "session %q already exists", id)
-	}
 	createBody, err := json.Marshal(map[string]string{"model": model, "session_id": id})
 	if err != nil {
 		return err
+	}
+	if p := rt.pin(id); p != nil {
+		return rt.createPinned(w, r, fi, p, createBody)
 	}
 	f, err := rt.route(r, fi, func() *Replica { return rt.owner(id) }, true, http.MethodPost, "/v1/sessions", createBody)
 	if err != nil {
@@ -634,6 +634,33 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request, fi
 		rt.pinGauge.Set(float64(n))
 	}
 	return writeResponse(w, f)
+}
+
+// createPinned answers a create that names a pinned session as the
+// replica holding it would. A replica checks the model before its
+// session table, so the body goes to the session's owner: an unknown
+// model comes back as that replica's 404, anything else as 409. An owner
+// that no longer held the session (evicted, or ownership moved) has just
+// created an empty one under the ID; heal rebuilds it from the log.
+func (rt *Router) createPinned(w http.ResponseWriter, r *http.Request, fi *fleetInfo, p *pin, body []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if rp := rt.owner(p.id); rp != nil {
+		fi.replica = rp.id
+		f, err := rt.forward(r, rp, http.MethodPost, "/v1/sessions", body)
+		switch {
+		case err != nil:
+			rt.markDown(rp.id, err)
+		case f.status == http.StatusNotFound:
+			return writeResponse(w, f)
+		case f.status == http.StatusCreated:
+			fi.healed = true
+			if err := rt.heal(r, p, rp); err != nil {
+				rt.markDown(rp.id, err)
+			}
+		}
+	}
+	return serve.Errorf(http.StatusConflict, "session_exists", "session %q already exists", p.id)
 }
 
 func (rt *Router) handleSessionPoints(w http.ResponseWriter, r *http.Request, fi *fleetInfo) error {
