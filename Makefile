@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet race chaos chaos-serve chaos-ingest chaos-fleet serve-smoke fuzz speedup-gate test figures data tune clean
+.PHONY: all build vet race chaos chaos-serve chaos-ingest chaos-fleet serve-smoke fuzz speedup-gate test figures data tune lines clean
 
 all: build vet test
 
@@ -176,6 +176,10 @@ data:
 
 tune:
 	$(GO) run ./cmd/etsc-tune -algorithm TEASER -dataset PowerCons
+
+# Non-test Go lines in the tree, the size measure ROADMAP.md tracks.
+lines:
+	@git ls-files '*.go' | grep -v _test.go | xargs cat | wc -l
 
 clean:
 	rm -rf figures data test_output.txt bench_output.txt

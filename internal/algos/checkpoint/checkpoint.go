@@ -1,15 +1,16 @@
 // Package checkpoint is the scaffold shared by the early classifiers that
-// train one WEASEL model per prefix checkpoint: ECEC, TEASER and SR. In
-// Renault et al.'s vocabulary each of them is these checkpoint
-// classifiers plus its own trigger, the rule that decides when to stop.
+// decide at prefix checkpoints: ECEC, TEASER, SR and ECO-K. In Renault et
+// al.'s vocabulary each of them is per-checkpoint classifiers plus its
+// own trigger, the rule that decides when to stop.
 //
-// Train is the classifier half: it places the checkpoints and fits each
-// one's full-train model and out-of-fold class probabilities. The
-// decision half is one checkpoint machine: it walks the checkpoints a
-// prefix covers and asks a per-instance Trigger at each one whether to
-// stop. ECEC and TEASER run Classify, their streaming cursor (Begin) and
-// their training-set replays (Trained.Score) through it; SR uses only
-// Train.
+// Train is the classifier half of the three WEASEL algorithms: it places
+// the checkpoints and fits each one's full-train model and out-of-fold
+// class probabilities. The decision half is one checkpoint machine for
+// all four: it walks the checkpoints a prefix covers, scores each through
+// the algorithm's proba(i, n), and asks a per-instance Trigger at each
+// one whether to stop. Every Classify and every training-set replay
+// (Trained.Score, ECO-K's choice of K) runs through it, and so do the
+// streaming cursors of ECEC and TEASER (Begin).
 package checkpoint
 
 import (
@@ -24,8 +25,9 @@ import (
 )
 
 // Lengths returns the n overlapping checkpoint lengths ceil(i·L/n),
-// deduplicated, each at least 2 (WEASEL needs two points) and at most L.
-func Lengths(length, n int) []int {
+// deduplicated, each at least minLen and at most L. Train uses a minimum
+// of 2, as WEASEL needs two points.
+func Lengths(length, n, minLen int) []int {
 	if n > length {
 		n = length
 	}
@@ -33,8 +35,8 @@ func Lengths(length, n int) []int {
 	seen := map[int]bool{}
 	for i := 1; i <= n; i++ {
 		t := int(math.Ceil(float64(i*length) / float64(n)))
-		if t < 2 {
-			t = 2
+		if t < minLen {
+			t = minLen
 		}
 		if t > length {
 			t = length
@@ -99,7 +101,7 @@ func Train(train *ts.Dataset, n, cvFolds int, seed int64, cfgAt func(i int) weas
 	if t.NumClasses < 2 {
 		return nil, fmt.Errorf("need at least 2 classes")
 	}
-	t.Lengths = Lengths(t.Length, n)
+	t.Lengths = Lengths(t.Length, n, 2)
 	count := train.Len()
 	series := make([][]float64, count)
 	t.Labels = make([]int, count)
@@ -200,10 +202,9 @@ func perFitWork(series [][]float64, labels []int, numClasses int) (
 }
 
 // Score replays a fresh trigger from newTrigger over every training
-// instance's out-of-fold probabilities and returns the accuracy and the
-// mean earliness of the decisions.
-func (t *Trained) Score(newTrigger func() Trigger) (acc, earliness float64) {
-	correct := 0
+// instance's out-of-fold probabilities and returns the number of correct
+// decisions and the sum of their earliness, consumed/Length.
+func (t *Trained) Score(newTrigger func() Trigger) (correct int, earliness float64) {
 	for j, y := range t.Labels {
 		m := machine{lengths: t.Lengths, trigger: newTrigger(), proba: func(i, _ int) []float64 { return t.OOF[i][j] }}
 		label, consumed, _ := m.Advance(t.Length)
@@ -212,8 +213,7 @@ func (t *Trained) Score(newTrigger func() Trigger) (acc, earliness float64) {
 		}
 		earliness += float64(consumed) / float64(t.Length)
 	}
-	n := float64(len(t.Labels))
-	return float64(correct) / n, earliness / n
+	return correct, earliness
 }
 
 // Trigger is one instance's stopping rule. The machine calls Stop once
@@ -229,10 +229,17 @@ type Trigger interface {
 // scored exactly once. Before the first checkpoint the pending verdict is
 // the first model's argmax on the whole prefix; after it, the label of
 // the last covered checkpoint.
+//
+// With pastEnd set, a prefix shorter than the last checkpoint has no
+// pending verdict: the machine goes on through the uncovered checkpoints
+// in order, scoring each with proba at its own length (the algorithm
+// decides what that means for a short series), until the trigger or the
+// last checkpoint stops it; consumed is clamped to the prefix.
 type machine struct {
 	lengths []int
 	trigger Trigger
 	proba   func(i, n int) []float64 // checkpoint i's model on the first n points
+	pastEnd bool
 
 	covered  int
 	last     int
@@ -242,21 +249,21 @@ type machine struct {
 }
 
 // Advance reports the decision on the first p points: (label, consumed,
-// true) once a covered checkpoint stopped, else the pending verdict with
+// true) once a checkpoint stopped, else the pending verdict with
 // consumed = p. A stopped machine keeps its decision; p must not shrink.
 func (m *machine) Advance(p int) (label, consumed int, done bool) {
 	if m.done {
 		return m.label, m.consumed, true
 	}
 	last := len(m.lengths) - 1
-	for m.covered <= last && m.lengths[m.covered] <= p {
+	for m.covered <= last && (m.lengths[m.covered] <= p || m.pastEnd) {
 		i, n := m.covered, m.lengths[m.covered]
 		probs := m.proba(i, n)
 		m.last = stats.ArgMax(probs)
 		m.covered++
 		if i == last || m.trigger.Stop(i, m.last, probs) {
-			m.label, m.consumed, m.done = m.last, n, true
-			return m.label, n, true
+			m.label, m.consumed, m.done = m.last, min(n, p), true
+			return m.label, m.consumed, true
 		}
 	}
 	if m.covered == 0 {
@@ -268,12 +275,20 @@ func (m *machine) Advance(p int) (label, consumed int, done bool) {
 	return m.label, p, false
 }
 
-// Classify runs a fresh machine over all of s, each checkpoint model
-// scoring its prefix from scratch.
-func Classify(models []*weasel.Model, lengths []int, s []float64, trigger Trigger) (label, consumed int) {
-	m := machine{lengths: lengths, trigger: trigger, proba: func(i, n int) []float64 { return models[i].PredictProbaSeries(s[:n]) }}
-	label, consumed, _ = m.Advance(len(s))
+// Classify runs a fresh machine over the first p points of an instance
+// whose checkpoint i scores its first n points with proba(i, n). pastEnd
+// is the algorithm's rule for a prefix shorter than the last checkpoint
+// (see machine).
+func Classify(lengths []int, p int, proba func(i, n int) []float64, trigger Trigger, pastEnd bool) (label, consumed int) {
+	m := machine{lengths: lengths, trigger: trigger, proba: proba, pastEnd: pastEnd}
+	label, consumed, _ = m.Advance(p)
 	return label, consumed
+}
+
+// WeaselProba scores checkpoint i with models[i] on the first n points of
+// s, or on all of s when it is shorter.
+func WeaselProba(models []*weasel.Model, s []float64) func(i, n int) []float64 {
+	return func(i, n int) []float64 { return models[i].PredictProbaSeries(Prefix(s, n)) }
 }
 
 // Begin returns a streaming cursor over a univariate instance that feeds

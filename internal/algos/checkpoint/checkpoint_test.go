@@ -1,33 +1,28 @@
 package checkpoint
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestPrefixLengths(t *testing.T) {
-	ps := Lengths(10, 4)
-	want := []int{3, 5, 8, 10}
-	if len(ps) != len(want) {
-		t.Fatalf("prefixes = %v", ps)
-	}
-	for i := range want {
-		if ps[i] != want[i] {
-			t.Fatalf("prefixes = %v, want %v", ps, want)
+	for _, tc := range []struct {
+		length, n, minLen int
+		want              []int
+	}{
+		{10, 4, 2, []int{3, 5, 8, 10}},
+		// WEASEL needs at least 2 points.
+		{40, 20, 2, []int{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40}},
+		{3, 10, 2, []int{2, 3}},
+		// ECO-K's boosted trees take a single point; more checkpoints
+		// than points dedup to one per length.
+		{10, 4, 1, []int{3, 5, 8, 10}},
+		{3, 10, 1, []int{1, 2, 3}},
+	} {
+		got := Lengths(tc.length, tc.n, tc.minLen)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("Lengths(%d, %d, %d) = %v, want %v", tc.length, tc.n, tc.minLen, got, tc.want)
 		}
-	}
-	// Minimum prefix is 2 (WEASEL needs at least 2 points).
-	ps = Lengths(40, 20)
-	if ps[0] < 2 {
-		t.Fatalf("first prefix = %d", ps[0])
-	}
-}
-
-func TestPrefixLengthsMinimumTwo(t *testing.T) {
-	ps := Lengths(40, 20)
-	if ps[0] < 2 {
-		t.Fatalf("first prefix = %d", ps[0])
-	}
-	last := ps[len(ps)-1]
-	if last != 40 {
-		t.Fatalf("last prefix = %d, want full length", last)
 	}
 }
 
@@ -97,5 +92,32 @@ func TestMachineStopFreezes(t *testing.T) {
 	}
 	if label, consumed, done := m.Advance(9); label != 0 || consumed != 6 || !done || calls != 2 {
 		t.Fatalf("Advance(9) = (%d, %d, %v) after %d evaluations, want frozen (0, 6, true) after 2", label, consumed, done, calls)
+	}
+}
+
+// TestMachinePastEnd: with the past-the-end rule, a prefix shorter than
+// the last checkpoint still gets a verdict from the trigger, each
+// uncovered checkpoint scored at its own length, consumed clamped to the
+// prefix.
+func TestMachinePastEnd(t *testing.T) {
+	for _, tc := range []struct {
+		trigger     Trigger
+		label, seen int
+	}{
+		{&never{}, 1, 7},
+		{stopAt(1), 0, 4},
+	} {
+		var lens []int
+		proba := func(i, n int) []float64 {
+			lens = append(lens, n)
+			p := []float64{0, 0}
+			p[n%2] = 1
+			return p
+		}
+		label, consumed := Classify([]int{2, 4, 7}, 3, proba, tc.trigger, true)
+		if label != tc.label || consumed != 3 || lens[len(lens)-1] != tc.seen {
+			t.Fatalf("%T: Classify = (%d, %d) after scoring lengths %v, want (%d, 3) ending at %d",
+				tc.trigger, label, consumed, lens, tc.label, tc.seen)
+		}
 	}
 }

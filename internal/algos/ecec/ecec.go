@@ -148,9 +148,10 @@ func (c *Classifier) Fit(train *ts.Dataset) error {
 	// Sweep θ minimizing CF(θ) = α(1-acc) + (1-α)·earliness on the
 	// cross-validated training decisions.
 	bestCost := math.Inf(1)
+	n := float64(len(t.Labels))
 	for _, theta := range candidates {
-		acc, earl := t.Score(func() checkpoint.Trigger { return c.newTrigger(theta) })
-		cost := cfg.Alpha*(1-acc) + (1-cfg.Alpha)*earl
+		correct, earl := t.Score(func() checkpoint.Trigger { return c.newTrigger(theta) })
+		cost := cfg.Alpha*(1-float64(correct)/n) + (1-cfg.Alpha)*(earl/n)
 		if cost < bestCost {
 			bestCost = cost
 			c.theta = theta
@@ -197,7 +198,7 @@ func (t *trigger) Stop(_, label int, _ []float64) bool {
 // Classify implements core.EarlyClassifier: prefixes are consumed batch by
 // batch; the first prediction whose confidence reaches θ is emitted.
 func (c *Classifier) Classify(in ts.Instance) (int, int) {
-	return checkpoint.Classify(c.models, c.prefixes, in.Values[0], c.newTrigger(c.theta))
+	return checkpoint.Classify(c.prefixes, in.Length(), checkpoint.WeaselProba(c.models, in.Values[0]), c.newTrigger(c.theta), false)
 }
 
 var _ core.IncrementalClassifier = (*Classifier)(nil)

@@ -112,24 +112,6 @@ func TestShortTestInstanceClamped(t *testing.T) {
 	}
 }
 
-func TestCheckpointLengths(t *testing.T) {
-	cps := checkpointLengths(10, 4)
-	want := []int{3, 5, 8, 10}
-	if len(cps) != len(want) {
-		t.Fatalf("checkpoints = %v", cps)
-	}
-	for i := range want {
-		if cps[i] != want[i] {
-			t.Fatalf("checkpoints = %v, want %v", cps, want)
-		}
-	}
-	// More checkpoints than length: dedup, max = length.
-	cps = checkpointLengths(3, 10)
-	if len(cps) != 3 || cps[len(cps)-1] != 3 {
-		t.Fatalf("dense checkpoints = %v", cps)
-	}
-}
-
 func TestPadTo(t *testing.T) {
 	out := padTo([]float64{1, 2}, 4)
 	if len(out) != 4 || out[3] != 2 {

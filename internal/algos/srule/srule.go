@@ -92,26 +92,18 @@ func (c *Classifier) Fit(train *ts.Dataset) error {
 	c.numClasses, c.length, c.prefixes, c.models = t.NumClasses, t.Length, t.Lengths, t.Models
 
 	// Grid-search the rule coefficients on the out-of-fold posteriors.
-	n := len(t.Labels)
+	n := float64(len(t.Labels))
 	bestCost := math.Inf(1)
 	for _, g1 := range cfg.GammaGrid {
 		for _, g2 := range cfg.GammaGrid {
 			for _, g3 := range cfg.GammaGrid {
-				gamma := [3]float64{g1, g2, g3}
-				correct := 0
-				var earliness float64
-				for i, y := range t.Labels {
-					pi := c.stoppingPoint(gamma, func(p int) []float64 { return t.OOF[p][i] })
-					if stats.ArgMax(t.OOF[pi][i]) == y {
-						correct++
-					}
-					earliness += float64(c.prefixes[pi]) / float64(c.length)
-				}
-				acc := float64(correct) / float64(n)
-				cost := cfg.Alpha*(1-acc) + (1-cfg.Alpha)*earliness/float64(n)
+				r := &rule{c: c, gamma: [3]float64{g1, g2, g3}}
+				correct, earliness := t.Score(func() checkpoint.Trigger { return r })
+				acc := float64(correct) / n
+				cost := cfg.Alpha*(1-acc) + (1-cfg.Alpha)*earliness/n
 				if cost < bestCost {
 					bestCost = cost
-					c.gamma = gamma
+					c.gamma = r.gamma
 				}
 			}
 		}
@@ -119,53 +111,23 @@ func (c *Classifier) Fit(train *ts.Dataset) error {
 	return nil
 }
 
-// stoppingPoint walks the checkpoints applying the rule and returns the
-// index where the decision fires (the last checkpoint at the latest).
-func (c *Classifier) stoppingPoint(gamma [3]float64, probsAt func(int) []float64) int {
-	for pi := range c.prefixes {
-		if pi == len(c.prefixes)-1 {
-			return pi
-		}
-		probs := probsAt(pi)
-		p1, p2 := topTwo(probs)
-		tFrac := float64(c.prefixes[pi]) / float64(c.length)
-		if gamma[0]*p1+gamma[1]*(p1-p2)+gamma[2]*tFrac >= 0 {
-			return pi
-		}
-	}
-	return len(c.prefixes) - 1
+// rule is the stopping rule with coefficients gamma. It keeps no state,
+// so one rule serves every instance.
+type rule struct {
+	c     *Classifier
+	gamma [3]float64
 }
 
-// Classify implements core.EarlyClassifier.
+// Stop implements checkpoint.Trigger.
+func (r *rule) Stop(i, _ int, probs []float64) bool {
+	p1, p2 := stats.TopTwo(probs)
+	tFrac := float64(r.c.prefixes[i]) / float64(r.c.length)
+	return r.gamma[0]*p1+r.gamma[1]*(p1-p2)+r.gamma[2]*tFrac >= 0
+}
+
+// Classify implements core.EarlyClassifier. An instance shorter than the
+// last checkpoint is not cut short: each checkpoint past its end scores
+// the whole instance, until the rule or the last checkpoint stops.
 func (c *Classifier) Classify(in ts.Instance) (int, int) {
-	s := in.Values[0]
-	cache := make([][]float64, len(c.prefixes))
-	probsAt := func(pi int) []float64 {
-		if cache[pi] == nil {
-			cache[pi] = c.models[pi].PredictProbaSeries(checkpoint.Prefix(s, c.prefixes[pi]))
-		}
-		return cache[pi]
-	}
-	pi := c.stoppingPoint(c.gamma, probsAt)
-	consumed := c.prefixes[pi]
-	if consumed > len(s) {
-		consumed = len(s)
-	}
-	return stats.ArgMax(probsAt(pi)), consumed
-}
-
-func topTwo(probs []float64) (p1, p2 float64) {
-	p1, p2 = -1, -1
-	for _, p := range probs {
-		if p > p1 {
-			p2 = p1
-			p1 = p
-		} else if p > p2 {
-			p2 = p
-		}
-	}
-	if p2 < 0 {
-		p2 = 0
-	}
-	return p1, p2
+	return checkpoint.Classify(c.prefixes, in.Length(), checkpoint.WeaselProba(c.models, in.Values[0]), &rule{c: c, gamma: c.gamma}, true)
 }

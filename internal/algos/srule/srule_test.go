@@ -96,17 +96,6 @@ func TestAlphaTradeoff(t *testing.T) {
 	}
 }
 
-func TestTopTwo(t *testing.T) {
-	p1, p2 := topTwo([]float64{0.2, 0.5, 0.3})
-	if p1 != 0.5 || p2 != 0.3 {
-		t.Fatalf("topTwo = %v, %v", p1, p2)
-	}
-	p1, p2 = topTwo([]float64{1})
-	if p1 != 1 || p2 != 0 {
-		t.Fatalf("single-class topTwo = %v, %v", p1, p2)
-	}
-}
-
 func TestRejectsMultivariate(t *testing.T) {
 	mv := &ts.Dataset{Name: "mv", Instances: []ts.Instance{
 		{Values: [][]float64{{1, 2}, {3, 4}}, Label: 0},
@@ -132,10 +121,18 @@ func TestShortTestInstance(t *testing.T) {
 }
 
 func TestLastCheckpointAlwaysStops(t *testing.T) {
-	c := &Classifier{prefixes: []int{2, 4, 8}, length: 8}
-	// A gamma that never fires must still stop at the final checkpoint.
-	pi := c.stoppingPoint([3]float64{-1, -1, -1}, func(int) []float64 { return []float64{0.5, 0.5} })
-	if pi != 2 {
-		t.Fatalf("stopping point = %d, want last (2)", pi)
+	rng := rand.New(rand.NewSource(4))
+	train := divergeDataset(rng, 40, 24, 4)
+	algo := New(fastCfg())
+	if err := algo.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	// A gamma that never fires must still stop at the final checkpoint,
+	// also for an instance shorter than it.
+	algo.gamma = [3]float64{-1, -1, -1}
+	for _, in := range []ts.Instance{train.Instances[0], train.Instances[0].Prefix(5)} {
+		if _, consumed := algo.Classify(in); consumed != in.Length() {
+			t.Fatalf("consumed %d of %d points, want all", consumed, in.Length())
+		}
 	}
 }

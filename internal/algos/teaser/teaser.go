@@ -129,8 +129,10 @@ func (c *Classifier) Fit(train *ts.Dataset) error {
 	// Grid-search v on the training harmonic mean.
 	bestHM := -1.0
 	c.v = cfg.VGrid[0]
+	n := float64(len(t.Labels))
 	for _, v := range cfg.VGrid {
-		hm := metrics.HarmonicMean(t.Score(func() checkpoint.Trigger { return c.newTrigger(v) }))
+		correct, earl := t.Score(func() checkpoint.Trigger { return c.newTrigger(v) })
+		hm := metrics.HarmonicMean(float64(correct)/n, earl/n)
 		if hm > bestHM {
 			bestHM = hm
 			c.v = v
@@ -178,7 +180,7 @@ func (t *trigger) Stop(pi, label int, probs []float64) bool {
 // batch through the two-tier pipeline; the final prefix bypasses the filter
 // and consistency check, as in the original design.
 func (c *Classifier) Classify(in ts.Instance) (int, int) {
-	return checkpoint.Classify(c.pipelines, c.prefixes, in.Values[0], c.newTrigger(c.v))
+	return checkpoint.Classify(c.prefixes, in.Length(), checkpoint.WeaselProba(c.pipelines, in.Values[0]), c.newTrigger(c.v), false)
 }
 
 var _ core.IncrementalClassifier = (*Classifier)(nil)
@@ -196,18 +198,7 @@ func (c *Classifier) Begin(in ts.Instance) core.Cursor {
 func ocsvmFeatures(probs []float64) []float64 {
 	out := make([]float64, len(probs)+1)
 	copy(out, probs)
-	best, second := -1.0, -1.0
-	for _, p := range probs {
-		if p > best {
-			second = best
-			best = p
-		} else if p > second {
-			second = p
-		}
-	}
-	if second < 0 {
-		second = 0
-	}
+	best, second := stats.TopTwo(probs)
 	out[len(probs)] = best - second
 	return out
 }

@@ -169,6 +169,24 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
+// TopTwo returns the two largest of a set of class probabilities; the
+// second is 0 when there is only one class.
+func TopTwo(probs []float64) (p1, p2 float64) {
+	p1, p2 = -1, -1
+	for _, p := range probs {
+		if p > p1 {
+			p2 = p1
+			p1 = p
+		} else if p > p2 {
+			p2 = p
+		}
+	}
+	if p2 < 0 {
+		p2 = 0
+	}
+	return p1, p2
+}
+
 // ArgMax returns the index of the maximum element (first one on ties),
 // or -1 for an empty slice.
 func ArgMax(xs []float64) int {

@@ -140,6 +140,17 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+func TestTopTwo(t *testing.T) {
+	p1, p2 := TopTwo([]float64{0.2, 0.5, 0.3})
+	if p1 != 0.5 || p2 != 0.3 {
+		t.Fatalf("TopTwo = %v, %v", p1, p2)
+	}
+	p1, p2 = TopTwo([]float64{1})
+	if p1 != 1 || p2 != 0 {
+		t.Fatalf("single-class TopTwo = %v, %v", p1, p2)
+	}
+}
+
 func TestArgMaxArgMin(t *testing.T) {
 	xs := []float64{1, 5, 5, -2}
 	if i := ArgMax(xs); i != 1 {
