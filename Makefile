@@ -104,8 +104,10 @@ serve-smoke:
 # code they replaced the same way: the screened SFA split search, the
 # presorted gbdt tree growth, MiniROCKET's bias selection and PPV
 # pooling (against the naive positive count), the SFA fit from
-# presorted columns, and each amd64 assembly kernel in linalg
-# (convolution, lagged dot products, Adam) against its Go twin. Plain
+# presorted columns, each amd64 assembly kernel in linalg
+# (convolution, lagged dot products, Adam) against its Go twin, and
+# STRUT's pruned truncation walk against the search that scores every
+# grid point. Plain
 # `go test` replays the committed corpora under testdata/fuzz; this
 # target mutates beyond them for FUZZTIME per target. go test -fuzz
 # takes one target and one package per run.
@@ -124,7 +126,8 @@ FUZZ_TARGETS := \
 	./internal/sfa:FuzzFitFromSorted \
 	./internal/linalg:FuzzConvValid \
 	./internal/linalg:FuzzLagDot8 \
-	./internal/linalg:FuzzAdamStep
+	./internal/linalg:FuzzAdamStep \
+	./internal/strut:FuzzTruncationSearch
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \

@@ -6,7 +6,8 @@
 // becomes the fixed decision point at test time. A coarse truncation grid
 // plus an iterative binary-search refinement keeps the number of training
 // iterations low — the "faster approximation variant" evaluated in the
-// paper. The three paper variants S-MINI, S-WEASEL and S-MLSTM wrap
+// paper — and the grid walk stops at the first point whose best reachable
+// score cannot beat the best point so far. The three paper variants S-MINI, S-WEASEL and S-MLSTM wrap
 // MiniROCKET, WEASEL+MUSE and MLSTM-FCN respectively.
 package strut
 
@@ -60,10 +61,11 @@ type Config struct {
 	Metric Metric
 	// ValFrac is the stratified validation fraction; default 0.25.
 	ValFrac float64
-	// Grid lists truncation fractions of the series length to evaluate.
-	// Default {0.05, 0.2, 0.4, 0.6, 0.8, 1} (the S-MLSTM grid); when
-	// Refine is true, a binary-search refinement between the best grid
-	// point and its left neighbour follows.
+	// Grid lists truncation fractions of the series length to evaluate,
+	// in ascending order of length up to the first point that cannot win.
+	// Default {0.05, 0.2, 0.4, 0.6, 0.8, 1}, which all three prebuilt
+	// variants use; when Refine is true, a binary-search refinement
+	// between the best grid point and its left neighbour follows.
 	Grid []float64
 	// Refine enables the binary-search refinement pass.
 	Refine bool
@@ -108,8 +110,8 @@ type Classifier struct {
 	numClass int
 }
 
-// EvalPoint records one truncation evaluation (for diagnostics and the
-// ablation benchmarks).
+// EvalPoint records one truncation length the search scored (for
+// diagnostics and the ablation benchmarks).
 type EvalPoint struct {
 	Length int
 	Score  float64
@@ -135,7 +137,9 @@ func (c *Classifier) TruncationPoint() int { return c.truncAt }
 // ChosenVariant exposes which base variant won the grid search.
 func (c *Classifier) ChosenVariant() string { return c.chosen }
 
-// Evaluations exposes the (length, score) pairs probed during the search.
+// Evaluations lists the (length, score) pairs the search scored, in order:
+// the grid points up to the first one that could not win, then any
+// refinement probes. Grid points past the stop were never trained.
 func (c *Classifier) Evaluations() []EvalPoint { return append([]EvalPoint(nil), c.evalLog...) }
 
 // Fit implements core.EarlyClassifier.
@@ -164,7 +168,8 @@ func (c *Classifier) Fit(train *ts.Dataset) error {
 	// harmonic mean is identically zero at t = L and cannot rank
 	// variants). A base fit is a function of its constructor and data, so
 	// the chosen variant's confusion matrix also scores the t = L grid
-	// point without a second fit.
+	// point without a second fit, when the search reaches it (never under
+	// HarmonicMean unless L is the only candidate: it scores 0 there).
 	variant := cfg.Variants[0]
 	var fullCM *metrics.ConfusionMatrix
 	if len(cfg.Variants) > 1 {
@@ -182,71 +187,21 @@ func (c *Classifier) Fit(train *ts.Dataset) error {
 	}
 	c.chosen = variant.Label
 
-	// Candidate truncation lengths from the grid.
-	candidates := make([]int, 0, len(cfg.Grid))
-	seen := map[int]bool{}
-	for _, frac := range cfg.Grid {
-		t := int(frac * float64(c.length))
-		if t < cfg.MinLength {
-			t = cfg.MinLength
-		}
-		if t > c.length {
-			t = c.length
-		}
-		if !seen[t] {
-			seen[t] = true
-			candidates = append(candidates, t)
-		}
-	}
-	sort.Ints(candidates)
-
-	scores := make(map[int]float64, len(candidates))
-	for _, t := range candidates {
+	candidates := candidateLengths(cfg.Grid, c.length, cfg.MinLength)
+	best, evals, err := search(candidates, c.length, cfg, func(t int) (float64, error) {
 		cm := fullCM
 		if t != c.length || cm == nil {
 			var err error
 			if cm, err = c.confusion(variant.New, trainX, trainY, valX, valY, t); err != nil {
-				return fmt.Errorf("strut: truncation %d: %w", t, err)
+				return 0, err
 			}
 		}
-		s := c.score(cm, t)
-		scores[t] = s
-		c.evalLog = append(c.evalLog, EvalPoint{Length: t, Score: s})
+		return c.score(cm, t), nil
+	})
+	if err != nil {
+		return fmt.Errorf("strut: %w", err)
 	}
-	best := candidates[0]
-	for _, t := range candidates {
-		if scores[t] > scores[best]+1e-12 {
-			best = t
-		}
-	}
-
-	// Binary-search refinement: probe between the best point and its left
-	// neighbour for an earlier length whose score stays within Tolerance.
-	if cfg.Refine {
-		lo := cfg.MinLength
-		for _, t := range candidates {
-			if t < best {
-				lo = t
-			}
-		}
-		hi := best
-		for hi-lo > 1 {
-			mid := (lo + hi) / 2
-			cm, err := c.confusion(variant.New, trainX, trainY, valX, valY, mid)
-			if err != nil {
-				return fmt.Errorf("strut: refine %d: %w", mid, err)
-			}
-			s := c.score(cm, mid)
-			c.evalLog = append(c.evalLog, EvalPoint{Length: mid, Score: s})
-			if s >= scores[best]-cfg.Tolerance {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		best = hi
-	}
-	c.truncAt = best
+	c.evalLog, c.truncAt = evals, best
 
 	// Retrain the chosen variant on the whole training set at t*.
 	c.base = variant.New()
@@ -268,6 +223,96 @@ func (c *Classifier) confusion(newBase func() FullTSC, trainX [][][]float64, tra
 	return cm, nil
 }
 
+// candidateLengths turns the grid's fractions of length into distinct
+// truncation lengths in [minLength, length] (length wins when it is the
+// smaller), ascending.
+func candidateLengths(grid []float64, length, minLength int) []int {
+	candidates := make([]int, 0, len(grid))
+	seen := map[int]bool{}
+	for _, frac := range grid {
+		t := int(frac * float64(length))
+		if t < minLength {
+			t = minLength
+		}
+		if t > length {
+			t = length
+		}
+		if !seen[t] {
+			seen[t] = true
+			candidates = append(candidates, t)
+		}
+	}
+	sort.Ints(candidates)
+	return candidates
+}
+
+// search walks the ascending candidate lengths and returns the chosen
+// truncation and the points it scored, in order. A later candidate wins
+// only by scoring more than 1e-12 above the running best. The walk stops
+// before the first candidate whose highest reachable score (upperBound)
+// does not exceed the running best: the bound falls as t grows, so no
+// later candidate could win either, and its fit is never trained. With
+// cfg.Refine, a binary search between the best candidate and the one
+// below it then looks for an earlier length scoring within cfg.Tolerance
+// of the best. score(t) fits and scores the base at length t.
+func search(candidates []int, length int, cfg Config, score func(t int) (float64, error)) (int, []EvalPoint, error) {
+	var evals []EvalPoint
+	best, bestScore := candidates[0], 0.0
+	for i, t := range candidates {
+		if i > 0 && upperBound(cfg.Metric, t, length) <= bestScore {
+			break
+		}
+		s, err := score(t)
+		if err != nil {
+			return 0, nil, fmt.Errorf("truncation %d: %w", t, err)
+		}
+		evals = append(evals, EvalPoint{Length: t, Score: s})
+		if i == 0 || s > bestScore+1e-12 {
+			best, bestScore = t, s
+		}
+	}
+
+	// Binary-search refinement: probe between the best point and its left
+	// neighbour for an earlier length whose score stays within Tolerance.
+	if cfg.Refine {
+		lo := cfg.MinLength
+		for _, t := range candidates {
+			if t < best {
+				lo = t
+			}
+		}
+		hi := best
+		for hi-lo > 1 {
+			mid := (lo + hi) / 2
+			s, err := score(mid)
+			if err != nil {
+				return 0, nil, fmt.Errorf("refine %d: %w", mid, err)
+			}
+			evals = append(evals, EvalPoint{Length: mid, Score: s})
+			if s >= bestScore-cfg.Tolerance {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		best = hi
+	}
+	return best, evals, nil
+}
+
+// upperBound is the highest score the metric can reach at truncation t
+// of a length-long series: a perfect validation accuracy at t's
+// earliness for HarmonicMean (0 at t = length), and 1 otherwise.
+func upperBound(m Metric, t, length int) float64 {
+	if m == HarmonicMean {
+		return metrics.HarmonicMean(1, earliness(t, length))
+	}
+	return 1
+}
+
+// earliness is the share of a length-long series read at truncation t.
+func earliness(t, length int) float64 { return float64(t) / float64(length) }
+
 // score is the configured metric of a validation confusion matrix at
 // truncation t.
 func (c *Classifier) score(cm *metrics.ConfusionMatrix, t int) float64 {
@@ -277,8 +322,7 @@ func (c *Classifier) score(cm *metrics.ConfusionMatrix, t int) float64 {
 	case MacroF1:
 		return cm.MacroF1()
 	default:
-		earl := float64(t) / float64(c.length)
-		return metrics.HarmonicMean(cm.Accuracy(), earl)
+		return metrics.HarmonicMean(cm.Accuracy(), earliness(t, c.length))
 	}
 }
 

@@ -295,10 +295,9 @@ func (c *countingBase) Fit(X [][][]float64, y []int, numClasses int) error {
 	return c.centroid.Fit(X, y, numClasses)
 }
 
-// TestOneFitPerVariantAndLength checks that with several variants the
-// chosen variant's selection fit at t = L also scores the t = L grid
-// point: every (variant, length) pair of the search is fitted once, and
-// only the final retrain on the whole set repeats a length.
+// TestOneFitPerVariantAndLength checks that with several variants every
+// (variant, length) pair of the search is fitted once, and only the final
+// retrain on the whole set repeats a length.
 func TestOneFitPerVariantAndLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	train := divergeDataset(rng, 40, 30, 6)
@@ -318,12 +317,14 @@ func TestOneFitPerVariantAndLength(t *testing.T) {
 		}
 		seen[f] = true
 	}
-	// Two selection fits, then the default grid's six lengths less the
-	// full-length one the selection fit already scored.
-	if len(search) != 2+5 {
-		t.Fatalf("%d search fits, want 7: %v", len(search), fits)
+	// Two selection fits, then the grid lengths 3, 6 and 12. The series
+	// diverge at 6, so length 12 scores about HarmonicMean(1, 0.4) = 0.75;
+	// a perfect accuracy at 18 would score only HarmonicMean(1, 0.6) ≈
+	// 0.57, so the walk stops there and 18, 24 and 30 are never fitted.
+	if len(search) != 2+3 {
+		t.Fatalf("%d search fits, want 5: %v", len(search), fits)
 	}
-	if evals := algo.Evaluations(); len(evals) != 6 || evals[5].Length != 30 {
-		t.Fatalf("evaluations %v, want six ending at length 30", evals)
+	if evals := algo.Evaluations(); len(evals) != 3 || evals[2].Length != 12 {
+		t.Fatalf("evaluations %v, want three ending at length 12", evals)
 	}
 }
