@@ -60,8 +60,9 @@ func searchNaive(candidates []int, length int, cfg Config, score func(t int) (fl
 // function. They must choose the same length; the pruned walk must score
 // each length at most once, its grid points must be a prefix of the
 // candidates, and every length it scores must carry the reference's
-// score. With Refine on, both must probe the same lengths.
-func checkSearch(t *testing.T, candidates []int, length int, cfg Config, score func(t int) float64) {
+// score. With Refine on, both must probe the same lengths. It returns
+// how many grid points the pruned walk scored.
+func checkSearch(t *testing.T, candidates []int, length int, cfg Config, score func(t int) float64) int {
 	t.Helper()
 	calls := map[int]int{}
 	counted := func(tr int) (float64, error) {
@@ -102,6 +103,7 @@ func checkSearch(t *testing.T, candidates []int, length int, cfg Config, score f
 	if got, want := evals[grid:], wantEvals[len(candidates):]; !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
 		t.Fatalf("%s: refinement probes %v, reference %v", ctx, got, want)
 	}
+	return grid
 }
 
 // accuracyScore returns the metric's score at t of a validation split of
@@ -182,14 +184,8 @@ func TestTruncationSearchMatchesExhaustive(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Metric: tc.metric, Refine: tc.refine, Tolerance: 0.02, MinLength: 3}
 			candidates := candidateLengths(grid, tc.length, cfg.MinLength)
-			checkSearch(t, candidates, tc.length, cfg, tc.score)
-			_, evals, _ := search(candidates, tc.length, cfg, func(t int) (float64, error) { return tc.score(t), nil })
-			scored := 0
-			for scored < len(evals) && scored < len(candidates) && evals[scored].Length == candidates[scored] {
-				scored++
-			}
-			if scored != tc.grid {
-				t.Fatalf("scored %d grid points, want %d: %v", scored, tc.grid, evals)
+			if scored := checkSearch(t, candidates, tc.length, cfg, tc.score); scored != tc.grid {
+				t.Fatalf("scored %d grid points, want %d", scored, tc.grid)
 			}
 		})
 	}

@@ -7,8 +7,9 @@
 // plus an iterative binary-search refinement keeps the number of training
 // iterations low — the "faster approximation variant" evaluated in the
 // paper — and the grid walk stops at the first point whose best reachable
-// score cannot beat the best point so far. The three paper variants S-MINI, S-WEASEL and S-MLSTM wrap
-// MiniROCKET, WEASEL+MUSE and MLSTM-FCN respectively.
+// score cannot beat the best point so far. The three paper variants
+// S-MINI, S-WEASEL and S-MLSTM wrap MiniROCKET, WEASEL+MUSE and MLSTM-FCN
+// respectively.
 package strut
 
 import (
@@ -61,11 +62,12 @@ type Config struct {
 	Metric Metric
 	// ValFrac is the stratified validation fraction; default 0.25.
 	ValFrac float64
-	// Grid lists truncation fractions of the series length to evaluate,
-	// in ascending order of length up to the first point that cannot win.
-	// Default {0.05, 0.2, 0.4, 0.6, 0.8, 1}, which all three prebuilt
-	// variants use; when Refine is true, a binary-search refinement
-	// between the best grid point and its left neighbour follows.
+	// Grid lists truncation fractions of the series length; the search
+	// scores them in ascending order of length up to the first that
+	// cannot win. Default {0.05, 0.2, 0.4, 0.6, 0.8, 1}, which all three
+	// prebuilt variants use; when Refine is true, a binary-search
+	// refinement between the best grid point and its left neighbour
+	// follows.
 	Grid []float64
 	// Refine enables the binary-search refinement pass.
 	Refine bool
